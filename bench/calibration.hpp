@@ -8,17 +8,17 @@
 //   - CyberLink-like device stack: 39 ms M-SEARCH handling (MX-derived
 //     response scheduling + JVM-era processing) and 25.5 ms to serve
 //     description.xml over HTTP. Native UPnP->UPnP search = ~40 ms (Fig 7).
-//   - TCP: 6 ms handshake + 2.2 ms per segment (Nagle/delayed-ACK-era
+//   - TCP: 8.5 ms handshake + 3.0 ms per segment (Nagle/delayed-ACK-era
 //     costs); this is what separates Fig 9a (80 ms, description fetched
 //     across the LAN) from Fig 8 (65 ms, fetched over loopback).
-//   - INDISS itself: 5 µs per message of translation cost (the real cost is
-//     measured in wall-clock by bench/abl_translation). Its SSDP composer
+//   - INDISS itself: 2 µs per message of translation cost
+//     (UnitOptions::translate_delay; the real cost is measured in
+//     wall-clock by bench/abl_translation). Its SSDP composer
 //     paces responses to *network* multicast searches by 39 ms, matching
 //     native responder etiquette (Fig 8 right, 40 ms), but answers loopback
 //     clients immediately (Fig 9b, 0.12 ms).
 //
-// Every number is a named constant here; EXPERIMENTS.md discusses the
-// derivation and which results are sensitive to which knob.
+// Every number is a named constant here.
 #pragma once
 
 #include <algorithm>

@@ -3,6 +3,10 @@
 // current state and the recorded state variables that later actions (reply
 // composition) draw on — "events data from previous states are recorded using
 // state variables" (paper §2.3).
+//
+// A session lives exactly as long as its transaction: the unit retires it
+// once the task that completed it returns, and recycles the object for the
+// next transaction (docs/events.md, "Session lifecycle").
 #pragma once
 
 #include <cstdint>
@@ -14,6 +18,7 @@
 #include "core/event.hpp"
 #include "core/types.hpp"
 #include "net/address.hpp"
+#include "transport/task.hpp"
 #include "transport/time.hpp"
 
 namespace indiss::core {
@@ -41,14 +46,15 @@ struct Session {
   /// Events of the in-progress message (between START and STOP).
   EventStream collected;
 
-  /// The request stream that opened the session (kept for composing).
-  EventStream request;
-
   /// Name of the parser currently active for this session (parser switch).
   std::string active_parser;
 
   bool done = false;
   transport::TimePoint created_at{0};
+
+  /// The session_timeout timer; cancelled when the session completes, so it
+  /// only fires for transactions that never finish (unanswered searches).
+  transport::TaskHandle timeout;
 
   /// The returned view aliases the session's storage; copy it if it must
   /// outlive the session (or survive a later set_var of the same key).

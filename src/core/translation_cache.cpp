@@ -20,16 +20,21 @@ const TranslationCache::Bundle* TranslationCache::lookup(SdpId source,
   Key key{source, wire_hash(bytes),
           static_cast<std::uint32_t>(bytes.size())};
   auto it = entries_.find(key);
-  if (it == entries_.end() || it->second.generation != generation_ ||
-      now - it->second.created_at < config_.settle ||
-      !std::equal(bytes.begin(), bytes.end(), it->second.wire.begin(),
-                  it->second.wire.end())) {
+  if (it == entries_.end()) {
     stats.misses += 1;
     return nullptr;
   }
-  it->second.last_used = ++tick_;
+  Bundle& bundle = it->second.bundle;
+  if (bundle.generation != generation_ ||
+      now - bundle.created_at < config_.settle ||
+      !std::equal(bytes.begin(), bytes.end(), bundle.wire.begin(),
+                  bundle.wire.end())) {
+    stats.misses += 1;
+    return nullptr;
+  }
+  touch(it->second);
   stats.hits += 1;
-  return &it->second;
+  return &bundle;
 }
 
 void TranslationCache::replay(SdpId source, const Bundle& bundle) {
@@ -47,23 +52,22 @@ void TranslationCache::open_bundle(SdpId source, BytesView bytes,
   Key key{source, wire_hash(bytes),
           static_cast<std::uint32_t>(bytes.size())};
   auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    if (it->second.generation == generation_) return;  // keep first pass
-    // Stale generation: recycle the slot for the fresh translation.
-    it->second.frames.clear();
-    it->second.generation = generation_;
-    it->second.created_at = now;
-    it->second.last_used = ++tick_;
-    it->second.wire.assign(bytes.begin(), bytes.end());
-  } else {
-    evict_if_needed();
-    Bundle bundle;
-    bundle.generation = generation_;
-    bundle.created_at = now;
-    bundle.last_used = ++tick_;
-    bundle.wire.assign(bytes.begin(), bytes.end());
-    entries_.emplace(key, std::move(bundle));
+  if (it != entries_.end() && it->second.bundle.generation == generation_) {
+    return;  // keep first pass
   }
+  if (it == entries_.end()) {
+    evict_if_needed();
+    it = entries_.try_emplace(key).first;
+    it->second.key = key;
+  }
+  // A new entry, or a stale-generation one recycled for the fresh
+  // translation.
+  Bundle& bundle = it->second.bundle;
+  bundle.frames.clear();
+  bundle.generation = generation_;
+  bundle.created_at = now;
+  bundle.wire.assign(bytes.begin(), bytes.end());
+  touch(it->second);
   // Retire origin sessions that can no longer receive frames: the bundle
   // has settled (composes land within translate_delay, long before settle),
   // was evicted, or belongs to a stale generation. Without this the ring
@@ -74,8 +78,8 @@ void TranslationCache::open_bundle(SdpId source, BytesView bytes,
   std::erase_if(open_sessions_, [&](const OpenSession& s) {
     auto entry = entries_.find(s.key);
     return entry == entries_.end() ||
-           entry->second.generation != generation_ ||
-           now - entry->second.created_at > config_.settle;
+           entry->second.bundle.generation != generation_ ||
+           now - entry->second.bundle.created_at > config_.settle;
   });
   // Remember which origin session feeds this bundle; target units report
   // their composed frames under that session id. The ring is bounded: an
@@ -88,7 +92,7 @@ void TranslationCache::open_bundle(SdpId source, BytesView bytes,
   // the burst's bundles settle, re-caches.
   open_sessions_.push_back(OpenSession{source, origin_session, key});
   if (open_sessions_.size() > 64) {
-    entries_.erase(open_sessions_.front().key);
+    erase(open_sessions_.front().key);
     open_sessions_.erase(open_sessions_.begin());
   }
 }
@@ -103,30 +107,52 @@ void TranslationCache::add_frame(SdpId origin_sdp,
       });
   if (open == open_sessions_.rend()) return;
   auto it = entries_.find(open->key);
-  if (it == entries_.end() || it->second.generation != generation_) return;
-  it->second.frames.push_back(std::move(frame));
+  if (it == entries_.end() || it->second.bundle.generation != generation_) {
+    return;
+  }
+  it->second.bundle.frames.push_back(std::move(frame));
 }
 
+// Stale-generation entries go first, otherwise the least recently used —
+// and that victim is always the oldest entry on the recency list. Every
+// touch stamps the then-current generation (lookup only touches a
+// current-generation hit; open_bundle sets the generation as it touches),
+// and the generation never decreases, so generations rise from the old end
+// of the list to the new end: if any entry is stale, the oldest one is.
 void TranslationCache::evict_if_needed() {
   if (entries_.empty() || entries_.size() < config_.max_entries) return;
-  auto victim = entries_.begin();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    // Stale-generation entries go first; otherwise least recently used.
-    bool it_stale = it->second.generation != generation_;
-    bool victim_stale = victim->second.generation != generation_;
-    if (it_stale != victim_stale ? it_stale
-                                 : it->second.last_used <
-                                       victim->second.last_used) {
-      victim = it;
-    }
-  }
+  Key victim = oldest_->key;
   // Drop the open-session pointers into the evicted bundle so late frames
   // cannot land in a recycled slot.
   std::erase_if(open_sessions_, [&](const OpenSession& s) {
-    return KeyEq{}(s.key, victim->first);
+    return KeyEq{}(s.key, victim);
   });
-  entries_.erase(victim);
+  erase(victim);
   evictions_ += 1;
+}
+
+void TranslationCache::touch(Entry& entry) {
+  if (newest_ == &entry) return;
+  if (entry.newer != nullptr) unlink(entry);  // listed, not the newest
+  entry.older = newest_;
+  entry.newer = nullptr;
+  if (newest_ != nullptr) newest_->newer = &entry;
+  newest_ = &entry;
+  if (oldest_ == nullptr) oldest_ = &entry;
+}
+
+void TranslationCache::unlink(Entry& entry) {
+  (entry.older != nullptr ? entry.older->newer : oldest_) = entry.newer;
+  (entry.newer != nullptr ? entry.newer->older : newest_) = entry.older;
+  entry.older = nullptr;
+  entry.newer = nullptr;
+}
+
+void TranslationCache::erase(const Key& key) {
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return;
+  unlink(it->second);
+  entries_.erase(it);
 }
 
 }  // namespace indiss::core

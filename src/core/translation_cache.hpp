@@ -38,8 +38,9 @@
 //    change for the same input bytes — unit attach/detach (the target set
 //    changed), a processed byebye (per-unit advertisement state changed),
 //    a newly learned Jini registrar, or a config/session-var change.
-//  - An LRU bound (max_entries) caps memory; eviction is a linear scan,
-//    fine for the bounded sizes involved.
+//  - An LRU bound (max_entries) caps memory. Stale-generation bundles are
+//    evicted first, then the least recently used; both come off the front
+//    of one intrusive recency list in O(1) (see evict_if_needed).
 //
 // Like the rest of the substrate, not thread-safe: one scheduler thread.
 #pragma once
@@ -94,7 +95,6 @@ class TranslationCache {
     std::vector<Frame> frames;
     Bytes wire;  // full key bytes: hits are byte-verified, not hash-trusted
     std::uint64_t generation = 0;
-    std::uint64_t last_used = 0;
     transport::TimePoint created_at{0};
   };
 
@@ -164,6 +164,14 @@ class TranslationCache {
     }
   };
 
+  /// A bundle plus its links in the recency list (oldest use first).
+  struct Entry {
+    Bundle bundle;
+    Key key;  // the victim's map key, so eviction needs no search
+    Entry* older = nullptr;
+    Entry* newer = nullptr;
+  };
+
   /// Origin sessions with a bundle still collecting frames, newest last.
   struct OpenSession {
     SdpId origin_sdp;
@@ -172,12 +180,21 @@ class TranslationCache {
   };
 
   void evict_if_needed();
+  /// Moves `entry` to the newest end of the recency list (links it first
+  /// when it is not on the list yet).
+  void touch(Entry& entry);
+  void unlink(Entry& entry);
+  /// Unlinks and erases the entry under `key`, if any.
+  void erase(const Key& key);
 
   Config config_;
-  std::unordered_map<Key, Bundle, KeyHash, KeyEq> entries_;
+  // Node-based: Entry addresses survive rehashing, so the list links stay
+  // valid.
+  std::unordered_map<Key, Entry, KeyHash, KeyEq> entries_;
+  Entry* oldest_ = nullptr;
+  Entry* newest_ = nullptr;
   std::vector<OpenSession> open_sessions_;
   std::uint64_t generation_ = 0;
-  std::uint64_t tick_ = 0;
   std::uint64_t evictions_ = 0;
   SdpStats stats_[4];
 };

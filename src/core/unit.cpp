@@ -1,5 +1,6 @@
 #include "core/unit.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -18,65 +19,88 @@ Unit::~Unit() {
   if (bus_ != nullptr) bus_->unsubscribe(*this);
 }
 
-void Unit::schedule_guarded(transport::Duration delay,
-                            std::function<void()> fn) {
-  host_.schedule(
-      delay, [alive = std::weak_ptr<void>(alive_), fn = std::move(fn)]() {
-        if (!alive.expired()) fn();
-      });
-}
-
 void Unit::register_parser(std::unique_ptr<SdpParser> parser) {
   std::string name(parser->name());
   if (default_parser_.empty()) default_parser_ = name;
   parsers_[name] = std::move(parser);
 }
 
+namespace {
+
+auto session_position(std::vector<std::unique_ptr<Session>>& sessions,
+                      std::uint64_t id) {
+  return std::lower_bound(
+      sessions.begin(), sessions.end(), id,
+      [](const std::unique_ptr<Session>& s, std::uint64_t key) {
+        return s->id < key;
+      });
+}
+
+}  // namespace
+
 Session* Unit::find_session(std::uint64_t id) {
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : &it->second;
+  auto it = session_position(sessions_, id);
+  return it == sessions_.end() || (*it)->id != id ? nullptr : it->get();
 }
 
 Session& Unit::open_session(Session::Origin origin) {
-  // Bounded session table: at the cap the oldest session goes first — with a
-  // cap's worth of live sessions it is overwhelmingly a half-open leftover
-  // (a truncated frame's parse, a search nobody answered). Safe here
-  // because open_session only runs at scheduler-task top level (every entry
-  // point defers through schedule_guarded), so no evicted session's frame is
-  // on the call stack.
+  retire_completed();
+  // Bounded session table: at the cap the oldest in-flight session goes
+  // first — with a cap's worth of them it is overwhelmingly a half-open
+  // leftover (a truncated frame's parse, a search nobody answered). Safe
+  // here because open_session only runs at scheduler-task top level (every
+  // entry point defers through schedule_guarded), so no evicted session's
+  // frame is on the call stack.
   if (options_.max_open_sessions > 0 &&
       sessions_.size() >= options_.max_open_sessions) {
     stats_.sessions_evicted += 1;
-    close_session(sessions_.begin()->first);
+    close_session(sessions_.front()->id);
+  }
+  std::unique_ptr<Session> session;
+  if (free_sessions_.empty()) {
+    session = std::make_unique<Session>();
+  } else {
+    session = std::move(free_sessions_.back());
+    free_sessions_.pop_back();
   }
   std::uint64_t id = next_session_id_++;
-  Session session;
-  session.id = id;
-  session.origin = origin;
-  session.state = fsm_.start();
-  session.active_parser = default_parser_;
-  session.created_at = now();
-  // The collected buffer is pooled: a unit translating a steady message flow
-  // stops allocating stream storage once the pool is warm.
-  session.collected = stream_pool_.acquire();
+  session->id = id;
+  session->origin = origin;
+  session->origin_sdp = SdpId::kSlp;
+  session->origin_session = 0;
+  session->state = fsm_.start();
+  session->active_parser = default_parser_;
+  session->done = false;
+  session->created_at = now();
+  // Close abandoned sessions (e.g. searches nobody answered); completion
+  // cancels this timer.
+  session->timeout = schedule_guarded(options_.session_timeout,
+                                      [this, id]() { close_session(id); });
   stats_.sessions_opened += 1;
-  auto [it, inserted] = sessions_.emplace(id, std::move(session));
-
-  // Garbage-collect abandoned sessions (e.g. searches nobody answered).
-  schedule_guarded(options_.session_timeout,
-                   [this, id]() { close_session(id); });
-  return it->second;
+  sessions_.push_back(std::move(session));
+  return *sessions_.back();
 }
 
 void Unit::close_session(std::uint64_t id) {
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return;
-  if (!it->second.done) {
-    it->second.done = true;
-    on_session_complete(it->second);
+  auto it = session_position(sessions_, id);
+  if (it == sessions_.end() || (*it)->id != id) return;
+  Session& session = **it;
+  if (!session.done) {
+    session.done = true;
+    on_session_complete(session);
   }
-  stream_pool_.release(std::move(it->second.collected));
+  session.timeout.cancel();
+  // Recycled sessions keep their buffers' capacity: the next transaction
+  // refills them without allocating.
+  session.collected.clear();
+  session.vars.clear();
+  free_sessions_.push_back(std::move(*it));
   sessions_.erase(it);
+}
+
+void Unit::retire_completed() {
+  for (std::uint64_t id : retired_) close_session(id);
+  retired_.clear();
 }
 
 void Unit::feed_event(Session& session, Event event) {
@@ -123,7 +147,9 @@ void Unit::parse_into_session(Session& session, BytesView raw,
 
 void Unit::on_native_message(const net::Datagram& datagram) {
   // INDISS's own processing cost for intercepting + parsing a message.
-  schedule_guarded(options_.translate_delay, [this, datagram]() {
+  // `datagram = datagram` captures a mutable copy (a plain capture of a
+  // const reference is const), so moving the task never copies the payload.
+  schedule_guarded(options_.translate_delay, [this, datagram = datagram]() {
     // Short-circuit: a byte-identical advertisement translated before
     // replays its composed outbound frames without a session or a parse.
     // In directory mode the advert's index record re-arms its TTL too —
@@ -460,6 +486,10 @@ void Unit::do_complete(Session& session) {
   session.done = true;
   stats_.sessions_completed += 1;
   on_session_complete(session);
+  // Retired once the running task returns: FSM actions and the entry
+  // task's post-parse classification still hold this session.
+  session.timeout.cancel();
+  retired_.push_back(session.id);
 }
 
 void Unit::do_switch(Session& session, const Event& event) {

@@ -41,7 +41,8 @@ struct UnitOptions {
   /// the system's overhead knob; Ablation A1 measures the real wall-clock
   /// cost, this models it in simulated time.
   transport::Duration translate_delay = transport::micros(20);
-  /// Forget completed/abandoned sessions after this long.
+  /// Close a session that has not completed after this long (a search
+  /// nobody answered). Completed sessions retire at once.
   transport::Duration session_timeout = transport::seconds(10);
   /// Own-endpoint registry shared with the monitor (loop prevention). May
   /// be null for standalone unit tests.
@@ -50,10 +51,11 @@ struct UnitOptions {
   /// disabled): byte-identical repeated advertisements short-circuit to
   /// their previously composed outbound frames (docs/events.md).
   std::shared_ptr<TranslationCache> translation_cache;
-  /// Cap on concurrently open sessions (0 = unbounded). At the cap,
-  /// open_session evicts the oldest live session first, so half-open parse
-  /// sessions from truncated or hostile frames are bounded by this instead
-  /// of accumulating for a whole session_timeout (docs/chaos.md).
+  /// Cap on in-flight sessions (0 = unbounded). At the cap, open_session
+  /// evicts the oldest in-flight session first, so half-open parse sessions
+  /// from truncated or hostile frames are bounded by this instead of
+  /// accumulating for a whole session_timeout (docs/chaos.md). Completed
+  /// sessions retire at once and never count.
   std::size_t max_open_sessions = 0;
   /// When true the unit expires bridged foreign-service state whose
   /// advertised TTL elapsed. Expiry runs sweep-on-touch (before the unit
@@ -186,9 +188,14 @@ class Unit {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   [[nodiscard]] const StateMachine& state_machine() const { return fsm_; }
-  [[nodiscard]] std::size_t open_sessions() const { return sessions_.size(); }
+  /// Sessions still in flight (opened, neither completed nor timed out).
+  [[nodiscard]] std::size_t open_sessions() const {
+    return sessions_.size() - retired_.size();
+  }
 
-  /// Looks up a live session (tests and subclasses).
+  /// Looks up a session that has not been retired yet (tests and
+  /// subclasses). A session completed by the running task stays findable,
+  /// marked done, until that task returns.
   [[nodiscard]] Session* find_session(std::uint64_t id);
 
   /// TTL-derived expiry of bridged foreign-service state (docs/chaos.md).
@@ -229,7 +236,9 @@ class Unit {
   void on_native_response(std::uint64_t session_id, BytesView raw,
                           const MessageContext& ctx);
 
-  /// Creates a session and runs `stream` through the FSM as if parsed.
+  /// Creates a session (recycled from the free list when one is there).
+  /// Only call it at scheduler-task top level, as every entry point does:
+  /// it first retires the sessions completed so far.
   Session& open_session(Session::Origin origin);
 
   /// Feeds one event: collects it and steps the FSM.
@@ -243,8 +252,18 @@ class Unit {
   /// Schedules `fn` to run after `delay` only while this unit is alive.
   /// Timer callbacks otherwise outlive units destroyed mid-run by
   /// dynamic detach (Indiss::disable_unit) or stop() — `fn` may capture
-  /// `this` safely.
-  void schedule_guarded(transport::Duration delay, std::function<void()> fn);
+  /// `this` safely. Every unit entry task runs through here, so once `fn`
+  /// returns no session frame is on the stack and the sessions it completed
+  /// are retired.
+  template <typename Fn>
+  transport::TaskHandle schedule_guarded(transport::Duration delay, Fn&& fn) {
+    return host_.schedule(delay, [alive = std::weak_ptr<void>(alive_), this,
+                                  fn = std::forward<Fn>(fn)]() mutable {
+      if (alive.expired()) return;
+      fn();
+      if (!alive.expired()) retire_completed();
+    });
+  }
 
   /// Lifetime token for guards in subclass-owned callbacks (HTTP fetches,
   /// socket handlers): bail out when expired.
@@ -307,7 +326,12 @@ class Unit {
   void do_reply_to_origin(Session& session);
   void do_complete(Session& session);
   void do_switch(Session& session, const Event& event);
+  /// Ends a session now: runs on_session_complete if it has not run,
+  /// cancels the timeout and returns the object to the free list. Only
+  /// safe where no frame holds the session (timeout, eviction, retirement).
   void close_session(std::uint64_t id);
+  /// Closes the sessions completed since the last call.
+  void retire_completed();
 
   SdpId sdp_;
   transport::Transport& host_;
@@ -315,7 +339,14 @@ class Unit {
   EventBus* bus_ = nullptr;
   std::shared_ptr<void> alive_ = std::make_shared<char>('\0');
   StreamPool stream_pool_;
-  std::map<std::uint64_t, Session> sessions_;
+  /// Unretired sessions in ascending id order: ids are monotonic, so
+  /// opening appends and the oldest is at the front.
+  std::vector<std::unique_ptr<Session>> sessions_;
+  /// Completed sessions awaiting retirement (still in sessions_).
+  std::vector<std::uint64_t> retired_;
+  /// Retired sessions kept for reuse: a steady open -> complete -> retire
+  /// cycle allocates nothing.
+  std::vector<std::unique_ptr<Session>> free_sessions_;
   // std::less<> so parser names arriving as string_view (parser-switch
   // events) are looked up without a temporary std::string.
   std::map<std::string, std::unique_ptr<SdpParser>, std::less<>> parsers_;

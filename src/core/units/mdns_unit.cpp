@@ -450,9 +450,11 @@ void MdnsUnit::compose_native_request(Session& session) {
     ctx.destination = d.destination;
     ctx.multicast = d.multicast;
     ctx.from_local_host = d.source.address == transport().address();
-    schedule_guarded(options().translate_delay, [this, session_id, d, ctx]() {
-      on_native_response(session_id, d.payload, ctx);
-    });
+    // `d = d`: a mutable copy the task can move without copying the payload.
+    schedule_guarded(options().translate_delay,
+                     [this, session_id, d = d, ctx]() {
+                       on_native_response(session_id, d.payload, ctx);
+                     });
   });
   client_sockets_[session.id] = socket;
   BytesView wire = encoder_.encode(compose_scratch_);

@@ -339,9 +339,11 @@ void UpnpUnit::compose_native_request(Session& session) {
     ctx.destination = d.destination;
     ctx.multicast = d.multicast;
     ctx.from_local_host = d.source.address == transport().address();
-    schedule_guarded(options().translate_delay, [this, session_id, d, ctx]() {
-      on_native_response(session_id, d.payload, ctx);
-    });
+    // `d = d`: a mutable copy the task can move without copying the payload.
+    schedule_guarded(options().translate_delay,
+                     [this, session_id, d = d, ctx]() {
+                       on_native_response(session_id, d.payload, ctx);
+                     });
   });
   client_sockets_[session.id] = socket;
   request.serialize_into(ssdp_scratch_);

@@ -66,8 +66,14 @@ class LiveUdpSocket : public transport::UdpSocket,
     fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (fd_ < 0) throw_errno("socket(udp)");
     int one = 1;
-    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
+    // Well-known ports (427, 1900, 5353) are shared with the native stacks
+    // on this machine. Ephemeral binds must stay exclusive: with the reuse
+    // flags, bind(0) may hand out a port another socket already holds, and
+    // replies meant for one bridged request reach another.
+    if (port != 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+      ::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
+    }
     // Destination address of each datagram (multicast classification).
     ::setsockopt(fd_, IPPROTO_IP, IP_PKTINFO, &one, sizeof(one));
 
@@ -161,11 +167,19 @@ class LiveUdpSocket : public transport::UdpSocket,
     owner_.loop().unwatch(fd_);
     ::close(fd_);
     fd_ = -1;
+    if (!dispatching_) drop_handler();
   }
 
   [[nodiscard]] bool closed() const override { return closed_; }
 
  private:
+  // A closed socket drops its handler, whose captures may own this socket.
+  // The handler is destroyed last: it may hold the final reference.
+  void drop_handler() {
+    ReceiveHandler dropped;
+    dropped.swap(handler_);
+  }
+
   void on_readable() {
     while (!closed_) {
       unsigned char buf[65536];
@@ -218,8 +232,13 @@ class LiveUdpSocket : public transport::UdpSocket,
         stats.udp_unicast_packets += 1;
         stats.udp_unicast_bytes += datagram.payload.size();
       }
-      if (handler_) handler_(datagram);  // may close this socket
+      // The handler may close this socket; close() then leaves the
+      // running handler alone and it is dropped below.
+      dispatching_ = true;
+      if (handler_) handler_(datagram);
+      dispatching_ = false;
     }
+    if (closed_) drop_handler();
   }
 
   LiveTransport& owner_;
@@ -228,6 +247,7 @@ class LiveUdpSocket : public transport::UdpSocket,
   ReceiveHandler handler_;
   std::set<net::IpAddress> groups_;
   bool closed_ = false;
+  bool dispatching_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -300,11 +320,24 @@ class LiveTcpSocket : public transport::TcpSocket,
     owner_.loop().unwatch(fd_);
     ::close(fd_);
     fd_ = -1;
+    if (!dispatching_) drop_handlers();
   }
 
   [[nodiscard]] bool open() const override { return open_; }
 
  private:
+  // A closed socket drops its handlers: they routinely capture an owner of
+  // this socket (the UPnP HTTP server's connection), and the two would
+  // otherwise keep each other alive. The handlers are destroyed last: they
+  // may hold the final reference.
+  void drop_handlers() {
+    DataHandler data;
+    data.swap(data_handler_);
+    CloseHandler on_close;
+    on_close.swap(close_handler_);
+  }
+
+  // Runs with this socket kept alive by the loop's watch callback.
   void on_event(std::uint32_t events) {
     if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
       do_close();
@@ -312,6 +345,8 @@ class LiveTcpSocket : public transport::TcpSocket,
     }
     if ((events & EPOLLOUT) != 0) flush_outbox();
     if ((events & EPOLLIN) != 0) drain_input();
+    // A data handler that closed this socket left itself in place.
+    if (!open_) drop_handlers();
   }
 
   void flush_outbox() {
@@ -343,14 +378,22 @@ class LiveTcpSocket : public transport::TcpSocket,
       auto& stats = owner_.mutable_stats();
       stats.tcp_segments += 1;
       stats.tcp_bytes += static_cast<std::uint64_t>(n);
+      // The handler may close this socket; close() then leaves the
+      // running handler alone and on_event drops it.
+      dispatching_ = true;
       if (data_handler_) data_handler_(BytesView(buf, buf + n));
+      dispatching_ = false;
     }
   }
 
+  // Peer hung up or the connection failed: close and notify. The close
+  // handler is taken out first, since close() drops the handlers.
   void do_close() {
     if (!open_) return;
+    CloseHandler notify;
+    notify.swap(close_handler_);
     close();
-    if (close_handler_) close_handler_();
+    if (notify) notify();
   }
 
   LiveTransport& owner_;
@@ -361,6 +404,7 @@ class LiveTcpSocket : public transport::TcpSocket,
   Bytes outbox_;
   DataHandler data_handler_;
   CloseHandler close_handler_;
+  bool dispatching_ = false;
 };
 
 class LiveTcpListener : public transport::TcpListener,
@@ -373,7 +417,7 @@ class LiveTcpListener : public transport::TcpListener,
     ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     sockaddr_in sa = to_sockaddr(net::Endpoint{owner_.address(), port});
     if (::bind(fd_, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
-        ::listen(fd_, 16) != 0) {
+        ::listen(fd_, SOMAXCONN) != 0) {
       int saved = errno;
       ::close(fd_);
       errno = saved;

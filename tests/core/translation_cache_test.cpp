@@ -157,6 +157,48 @@ TEST_F(CacheFixture, LruEvictionDropsTheColdestBundle) {
   EXPECT_EQ(cache.lookup(SdpId::kUpnp, b, at_ms(3)), nullptr);
 }
 
+// The victim order: stale-generation bundles first, oldest use first; once
+// none is stale, the least recently used. A hit or a re-translation counts as
+// a use.
+TEST_F(CacheFixture, EvictionTakesStaleBundlesFirstThenTheLeastRecentlyUsed) {
+  TranslationCache cache({.max_entries = 3, .settle = sim::millis(0)});
+  Bytes a = wire_bytes("advert A");
+  Bytes b = wire_bytes("advert B");
+  Bytes c = wire_bytes("advert C");
+  Bytes d = wire_bytes("advert D");
+  Bytes e = wire_bytes("advert E");
+  Bytes f = wire_bytes("advert F");
+
+  cache.open_bundle(SdpId::kUpnp, a, 1, at_ms(0));
+  cache.open_bundle(SdpId::kUpnp, b, 2, at_ms(0));
+  cache.open_bundle(SdpId::kUpnp, c, 3, at_ms(0));
+  ASSERT_NE(cache.lookup(SdpId::kUpnp, a, at_ms(1)), nullptr);  // A: newest
+
+  cache.bump_generation();  // A, B and C are stale
+  cache.open_bundle(SdpId::kUpnp, a, 4, at_ms(2));  // A re-translated: fresh
+
+  cache.open_bundle(SdpId::kUpnp, d, 5, at_ms(3));
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.lookup(SdpId::kUpnp, b, at_ms(3)), nullptr)
+      << "the oldest stale bundle goes first";
+
+  cache.open_bundle(SdpId::kUpnp, e, 6, at_ms(4));
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.lookup(SdpId::kUpnp, c, at_ms(4)), nullptr)
+      << "a stale bundle goes before the fresh ones";
+
+  // Only fresh bundles are left (A, D, E); a hit on A leaves D the least
+  // recently used.
+  ASSERT_NE(cache.lookup(SdpId::kUpnp, a, at_ms(5)), nullptr);
+  cache.open_bundle(SdpId::kUpnp, f, 7, at_ms(6));
+  EXPECT_EQ(cache.evictions(), 3u);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.lookup(SdpId::kUpnp, d, at_ms(7)), nullptr);
+  EXPECT_NE(cache.lookup(SdpId::kUpnp, a, at_ms(7)), nullptr);
+  EXPECT_NE(cache.lookup(SdpId::kUpnp, e, at_ms(7)), nullptr);
+  EXPECT_NE(cache.lookup(SdpId::kUpnp, f, at_ms(7)), nullptr);
+}
+
 TEST_F(CacheFixture, OverflowingTheOpenRingDropsTheBundleNotJustTheSession) {
   TranslationCache cache({.max_entries = 256, .settle = sim::millis(0)});
   Bytes first = wire_bytes("advert 0");

@@ -49,6 +49,16 @@ namespace {
 
 enum class Proto { kSlp, kUpnp, kJini, kMdns };
 
+SdpId sdp_of(Proto p) {
+  switch (p) {
+    case Proto::kSlp: return SdpId::kSlp;
+    case Proto::kUpnp: return SdpId::kUpnp;
+    case Proto::kJini: return SdpId::kJini;
+    case Proto::kMdns: return SdpId::kMdns;
+  }
+  return SdpId::kSlp;
+}
+
 const char* proto_name(Proto p) {
   switch (p) {
     case Proto::kSlp: return "Slp";
@@ -130,7 +140,31 @@ class GatewayHarness {
     return true;
   }
 
+  /// Unit session counters summed over every unit of every shard.
+  [[nodiscard]] Unit::Stats unit_stats() {
+    Unit::Stats total;
+    for_each_unit([&](Unit& unit) { total += unit.stats(); });
+    return total;
+  }
+  [[nodiscard]] std::size_t open_sessions() {
+    std::size_t open = 0;
+    for_each_unit([&](Unit& unit) { open += unit.open_sessions(); });
+    return open;
+  }
+
  private:
+  template <typename F>
+  void for_each_unit(F&& f) {
+    const std::size_t shards = single_ != nullptr ? 1 : sharded_->shard_count();
+    for (std::size_t i = 0; i < shards; ++i) {
+      Indiss& indiss = single_ != nullptr ? *single_ : sharded_->shard(i);
+      for (SdpId sdp :
+           {SdpId::kSlp, SdpId::kUpnp, SdpId::kJini, SdpId::kMdns}) {
+        if (Unit* unit = indiss.unit(sdp)) f(*unit);
+      }
+    }
+  }
+
   std::unique_ptr<Indiss> single_;
   std::unique_ptr<shard::ShardedGateway> sharded_;
 };
@@ -403,6 +437,62 @@ TEST_P(InteropMatrix, WithdrawalOnBPropagatesToRequesterOnA) {
         << proto_name(pair.requester) << " client still finds '" << url
         << "' after the " << proto_name(pair.announcer) << " withdrawal";
   }
+}
+
+// Session lifecycle (docs/events.md): a session retires as soon as its
+// transaction completes, not session_timeout (10 s) later. Once B's
+// advertisement has been translated for A and the network has been quiet for
+// a few milliseconds, no unit holds a session.
+TEST_P(InteropMatrix, AdvertisementSessionsRetireOnceTranslated) {
+  const Pair pair = GetParam();
+  const bool jini_involved =
+      pair.requester == Proto::kJini || pair.announcer == Proto::kJini;
+  if (jini_involved) {
+    start_registrar();
+    scheduler.run_for(sim::millis(10));
+  }
+
+  IndissConfig config;
+  config.enabled_sdps = {sdp_of(pair.requester), sdp_of(pair.announcer)};
+  config.enable_directory = pair.directory;
+  GatewayHarness gateway(gateway_host, config, pair.shards);
+  gateway.start();
+  scheduler.run_for(sim::millis(500));
+  if (jini_involved) {
+    ASSERT_TRUE(gateway.registrar_known());
+  }
+
+  if (pair.announcer == Proto::kSlp) {
+    // A DA-less SLP SA never advertises; its advertisement is the multicast
+    // registration an SA sends to a directory agent.
+    slp::SrvReg reg;
+    reg.header.flags = slp::kFlagFresh;
+    reg.url_entry.lifetime_seconds = 300;
+    reg.url_entry.url = "service:clock:soap://10.0.0.2:4005/slp-clock";
+    reg.service_type = "service:clock";
+    reg.attr_list = "(friendlyName=SLP Clock)";
+    auto socket = service_host.udp_socket(0);
+    socket->send_to(net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort},
+                    slp::encode(slp::Message(reg)));
+  } else {
+    start_announcer(pair.announcer);
+  }
+  scheduler.run_for(sim::seconds(2));
+  const std::uint64_t opened = gateway.unit_stats().sessions_opened;
+
+  // Silence every native actor, then let the last translation land.
+  slp_sa.reset();
+  upnp_device.reset();
+  jini_provider.reset();
+  mdns_responder.reset();
+  registrar.reset();
+  scheduler.run_for(sim::millis(20));
+
+  const Unit::Stats stats = gateway.unit_stats();
+  EXPECT_GT(opened, 0u) << "the advertisement must reach the gateway";
+  EXPECT_EQ(stats.sessions_completed, stats.sessions_opened);
+  EXPECT_EQ(gateway.open_sessions(), 0u)
+      << "completed sessions must not wait for the session timeout";
 }
 
 // Focused wire-level check of goodbye propagation: a UPnP byebye must come

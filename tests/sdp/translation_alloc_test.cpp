@@ -250,6 +250,48 @@ TEST(DirectoryAllocs, RefreshTouchAndCollectAreZeroAllocSteadyState) {
   EXPECT_EQ(dir.stats(SdpId::kSlp).records_stored, 1u);
 }
 
+// --- Session lifecycle -------------------------------------------------------
+//
+// A session retires when its transaction completes and its object goes back
+// to the unit's free list, so a steady open -> complete -> retire cycle
+// reuses one Session, its buffers and its timer slot (docs/events.md).
+
+struct CycleUnit : Unit {
+  explicit CycleUnit(net::Host& host) : Unit(SdpId::kSlp, host) {
+    fsm_.add_tuple(fsm_.start(), EventType::kControlStop, any(), "done",
+                   {Unit::complete()});
+  }
+
+  /// One transaction. The previous one retires at the top of open_session.
+  void cycle() {
+    Session& session = open_session(Session::Origin::kPeer);
+    feed_event(session, Event(EventType::kControlStart));
+    feed_event(session, Event(EventType::kControlStop));
+  }
+
+  void compose_native_request(Session&) override {}
+  void compose_native_reply(Session&) override {}
+};
+
+TEST(SessionAllocs, OpenCompleteRetireCycleIsZeroAllocSteadyState) {
+  sim::Scheduler scheduler;
+  net::Network network{scheduler, net::LinkProfile{}, 7};
+  net::Host& host = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+  CycleUnit unit(host);
+
+  // Warm up, then let the cancelled timeout timers' queue entries drain:
+  // the timer heap keeps its capacity for the measured cycles.
+  for (int i = 0; i < 512; ++i) unit.cycle();
+  scheduler.run_for(unit.options().session_timeout + sim::seconds(1));
+
+  std::uint64_t before = indiss::testing::g_heap_allocs;
+  for (int i = 0; i < 256; ++i) unit.cycle();
+  EXPECT_EQ(indiss::testing::g_heap_allocs - before, 0u)
+      << "a steady session open/complete/retire cycle must not allocate";
+  EXPECT_EQ(unit.stats().sessions_completed, 768u);
+  EXPECT_EQ(unit.open_sessions(), 0u);
+}
+
 // --- Unit bridged-state refresh paths (PR 9 symbol re-keying) ---------------
 //
 // The units' foreign-state containers key on interned Symbols so the

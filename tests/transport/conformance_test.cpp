@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -76,16 +77,37 @@ class ConformanceTest : public ::testing::TestWithParam<const char*> {
   std::unique_ptr<Backend> backend_;
 };
 
+// Ephemeral binds are exclusive: among many sockets held at once no port is
+// handed out twice, so a reply to one bridged request can never reach the
+// socket of another.
 TEST_P(ConformanceTest, EphemeralUdpBindsDistinctNonzeroPorts) {
-  auto a = node().open_udp(0);
-  auto b = node().open_udp(0);
-  EXPECT_NE(a->local_endpoint().port, 0);
-  EXPECT_NE(b->local_endpoint().port, 0);
-  EXPECT_NE(a->local_endpoint().port, b->local_endpoint().port);
-  EXPECT_EQ(a->local_endpoint().address, node().address());
-  EXPECT_FALSE(a->closed());
-  a->close();
-  EXPECT_TRUE(a->closed());
+  constexpr int kSockets = 256;
+  std::vector<std::shared_ptr<transport::UdpSocket>> sockets;
+  std::vector<int> received(kSockets, 0);
+  std::set<std::uint16_t> ports;
+  for (int i = 0; i < kSockets; ++i) {
+    auto socket = node().open_udp(0);
+    EXPECT_NE(socket->local_endpoint().port, 0);
+    EXPECT_EQ(socket->local_endpoint().address, node().address());
+    ports.insert(socket->local_endpoint().port);
+    socket->set_receive_handler(
+        [&received, i](const net::Datagram&) { received[i] += 1; });
+    sockets.push_back(std::move(socket));
+  }
+  EXPECT_EQ(ports.size(), static_cast<std::size_t>(kSockets))
+      << "an ephemeral port was bound twice";
+
+  const int target = kSockets / 2;
+  auto sender = node().open_udp(0);
+  sender->send_to(sockets[target]->local_endpoint(), payload_of("reply"));
+  run_for(transport::millis(50));
+  for (int i = 0; i < kSockets; ++i) {
+    EXPECT_EQ(received[i], i == target ? 1 : 0) << "socket " << i;
+  }
+
+  EXPECT_FALSE(sockets[0]->closed());
+  sockets[0]->close();
+  EXPECT_TRUE(sockets[0]->closed());
 }
 
 TEST_P(ConformanceTest, UdpUnicastDeliversOnNode) {
@@ -247,6 +269,59 @@ TEST_P(ConformanceTest, TcpRoundTripAndCloseNotification) {
   run_for(transport::millis(50));
   EXPECT_TRUE(server_closed);
   EXPECT_FALSE(client->open());
+}
+
+// A receive handler may close its own socket; the backend must neither run
+// it again nor destroy it while it runs (live drops it once it returns).
+TEST_P(ConformanceTest, UdpHandlerMayCloseItsOwnSocket) {
+  auto socket = node().open_udp(0);
+  int received = 0;
+  socket->set_receive_handler(
+      [&received, raw = socket.get()](const net::Datagram&) {
+        received += 1;
+        raw->close();
+      });
+  auto sender = node().open_udp(0);
+  sender->send_to(socket->local_endpoint(), payload_of("first"));
+  sender->send_to(socket->local_endpoint(), payload_of("second"));
+  run_for(transport::millis(50));
+  EXPECT_EQ(received, 1);
+  EXPECT_TRUE(socket->closed());
+}
+
+// Handlers that capture their own socket, as the UPnP HTTP server's
+// connections do, must not keep it alive once it closes — whether it closes
+// itself from inside its data handler or the peer hangs up. The ASan job
+// leak-checks this case.
+TEST_P(ConformanceTest, TcpHandlersCapturingTheirSocketAreReleasedOnClose) {
+  auto listener = node().listen_tcp(0);
+  std::vector<std::weak_ptr<transport::TcpSocket>> accepted;
+  listener->set_accept_handler(
+      [&](std::shared_ptr<transport::TcpSocket> socket) {
+        accepted.push_back(socket);
+        socket->set_data_handler([socket](BytesView data) {
+          if (Bytes(data.begin(), data.end()) == payload_of("bye")) {
+            socket->close();
+          }
+        });
+        socket->set_close_handler([socket]() {});
+      });
+  const net::Endpoint server{node().address(), listener->port()};
+
+  auto server_closes = node().connect_tcp(server);
+  auto client_closes = node().connect_tcp(server);
+  ASSERT_NE(server_closes, nullptr);
+  ASSERT_NE(client_closes, nullptr);
+  run_for(transport::millis(50));
+  ASSERT_EQ(accepted.size(), 2u);
+  for (const auto& socket : accepted) EXPECT_FALSE(socket.expired());
+
+  server_closes->send(payload_of("bye"));
+  client_closes->close();
+  run_for(transport::millis(50));
+  for (const auto& socket : accepted) {
+    EXPECT_TRUE(socket.expired()) << "closed socket kept alive by its handler";
+  }
 }
 
 TEST_P(ConformanceTest, TimeAdvancesAcrossRun) {
