@@ -76,11 +76,7 @@ void Indiss::start() {
   for (SdpId sdp : enabled_sdps_) attach_unit(sdp);
   subscribe_units();
 
-  if (config_.scan_ports) {
-    for (const auto& entry : iana_table()) {
-      if (enabled_sdps_.contains(entry.sdp)) monitor_->scan(entry);
-    }
-  }
+  if (config_.scan_ports) monitor_->scan(enabled_sdps_);
 
   if (config_.context.enabled) {
     last_sample_bytes_ = host_.stats().wire_bytes();
@@ -158,11 +154,7 @@ void Indiss::enable_unit(SdpId sdp) {
   if (!running_ || unit(sdp) != nullptr) return;
   enabled_sdps_.insert(sdp);
   attach_unit(sdp);
-  if (config_.scan_ports) {
-    for (const auto& entry : iana_table()) {
-      if (entry.sdp == sdp) monitor_->scan(entry);
-    }
-  }
+  if (config_.scan_ports) monitor_->scan(std::set<SdpId>{sdp});
   subscribe_units();
 }
 

@@ -51,6 +51,12 @@ void Monitor::scan_all() {
   for (const auto& entry : iana_table()) scan(entry);
 }
 
+void Monitor::scan(const std::set<SdpId>& sdps) {
+  for (const auto& entry : iana_table()) {
+    if (sdps.contains(entry.sdp)) scan(entry);
+  }
+}
+
 void Monitor::stop_scanning(SdpId sdp) {
   for (auto& [id, socket] : sockets_) {
     if (id == sdp) socket->close();

@@ -61,6 +61,8 @@ class Monitor {
   void scan(const IanaEntry& entry);
   /// Scans every entry in the static IANA table.
   void scan_all();
+  /// Scans the table's entries for `sdps`, in table order.
+  void scan(const std::set<SdpId>& sdps);
   /// Stops scanning an SDP's ports (dynamic reconfiguration).
   void stop_scanning(SdpId sdp);
 

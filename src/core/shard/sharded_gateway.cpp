@@ -1,5 +1,6 @@
 #include "core/shard/sharded_gateway.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -8,21 +9,28 @@ namespace indiss::core::shard {
 
 ShardedGateway::ShardedGateway(transport::Transport& transport,
                                ShardedConfig config)
-    : host_(transport),
-      config_(std::move(config)),
-      own_endpoints_(std::make_shared<OwnEndpoints>()) {
-  if (config_.shards == 0) config_.shards = 1;
-  front_monitor_ = std::make_unique<Monitor>(host_, own_endpoints_);
-  shards_.reserve(config_.shards);
-  for (std::size_t i = 0; i < config_.shards; ++i) {
+    : ShardedGateway(transport,
+                     std::vector<transport::Transport*>(
+                         std::max<std::size_t>(config.shards, 1), &transport),
+                     std::move(config)) {}
+
+ShardedGateway::ShardedGateway(
+    transport::Transport& front,
+    const std::vector<transport::Transport*>& shard_hosts,
+    ShardedConfig config)
+    : config_(std::move(config)),
+      own_endpoints_(std::make_shared<OwnEndpoints>()),
+      front_monitor_(std::make_unique<Monitor>(front, own_endpoints_,
+                                               config_.indiss.monitor)) {
+  shards_.reserve(shard_hosts.size());
+  for (transport::Transport* host : shard_hosts) {
     IndissConfig shard_config = config_.indiss;
     shard_config.scan_ports = false;
     shard_config.own_endpoints = own_endpoints_;
-    Shard entry;
-    entry.indiss = std::make_unique<Indiss>(host_, std::move(shard_config));
-    entry.ring = std::make_unique<IngressRing<IngressItem>>(
-        config_.ring_capacity);
-    shards_.push_back(std::move(entry));
+    // Ingress was already rate-limited at the front monitor; limiting again
+    // per shard would double-charge sources whose traffic hashes unevenly.
+    shard_config.monitor = MonitorConfig{};
+    shards_.push_back(std::make_unique<Indiss>(*host, std::move(shard_config)));
   }
 }
 
@@ -31,112 +39,38 @@ ShardedGateway::~ShardedGateway() { stop(); }
 void ShardedGateway::start() {
   if (running_) return;
   running_ = true;
-  for (auto& entry : shards_) entry.indiss->start();
+  for (auto& shard : shards_) shard->start();
+  start_delivery();
   front_monitor_->set_detection_handler(
       [this](SdpId sdp, const net::Datagram& datagram) {
         dispatch(sdp, datagram);
       });
-  if (config_.scan_ports) {
-    for (const auto& entry : iana_table()) {
-      if (config_.indiss.enabled_sdps.contains(entry.sdp)) {
-        front_monitor_->scan(entry);
-      }
-    }
-  }
-  log::info("shard", "sharded gateway started on ", host_.name(), " (",
-            shards_.size(), " shards, ring=",
-            shards_.front().ring->capacity(), ")");
+  if (config_.scan_ports) front_monitor_->scan(config_.indiss.enabled_sdps);
+  log::info("shard", "sharded gateway started (", shards_.size(),
+            " shards)");
 }
 
 void ShardedGateway::stop() {
   if (!running_) return;
   running_ = false;
-  for (SdpId sdp : {SdpId::kSlp, SdpId::kUpnp, SdpId::kJini, SdpId::kMdns}) {
+  for (SdpId sdp : config_.indiss.enabled_sdps) {
     front_monitor_->stop_scanning(sdp);
   }
   front_monitor_->set_detection_handler(nullptr);
-  for (auto& entry : shards_) entry.indiss->stop();
+  stop_delivery();
 }
 
 void ShardedGateway::dispatch(SdpId sdp, const net::Datagram& datagram) {
   if (!running_) return;
   dispatched_ += 1;
-  Route route = classify(sdp, datagram);
-  if (route == Route::kHashed) {
+  if (classify(sdp, datagram) == Route::kHashed) {
     BytesView wire(datagram.payload.data(), datagram.payload.size());
-    std::size_t index = shard::shard_for(wire, shards_.size());
-    shards_[index].ring->offer(IngressItem{sdp, datagram});
-  } else {
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (i > 0) replicated_ += 1;
-      shards_[i].ring->offer(IngressItem{sdp, datagram});
-    }
+    deliver(shard::shard_for(wire, shards_.size()), sdp, datagram);
+    return;
   }
-  if (config_.auto_pump) pump();
-}
-
-std::size_t ShardedGateway::pump() {
-  std::size_t total = 0;
-  IngressItem item;
-  for (;;) {
-    std::size_t drained = 0;
-    // One item per shard per pass, shard 0 first: broadcast deliveries keep
-    // the same shard order every run.
-    for (auto& entry : shards_) {
-      if (entry.ring->poll(item)) {
-        entry.indiss->ingest(item.sdp, item.datagram);
-        drained += 1;
-      }
-    }
-    if (drained == 0) break;
-    total += drained;
-  }
-  return total;
-}
-
-void ShardedGateway::trigger_active_probe() {
-  for (auto& entry : shards_) entry.indiss->trigger_active_probe();
-}
-
-Unit::Stats ShardedGateway::unit_stats(SdpId sdp) const {
-  Unit::Stats merged;
-  for (const auto& entry : shards_) {
-    if (const Unit* unit = entry.indiss->unit(sdp)) merged += unit->stats();
-  }
-  return merged;
-}
-
-TranslationCache::SdpStats ShardedGateway::translation_stats(
-    SdpId sdp) const {
-  TranslationCache::SdpStats merged;
-  for (const auto& entry : shards_) {
-    if (const TranslationCache* cache = entry.indiss->translation_cache()) {
-      merged += cache->stats(sdp);
-    }
-  }
-  return merged;
-}
-
-ServiceDirectory::SdpStats ShardedGateway::directory_stats(SdpId sdp) const {
-  ServiceDirectory::SdpStats merged;
-  for (const auto& entry : shards_) {
-    if (const ServiceDirectory* dir = entry.indiss->directory()) {
-      merged += dir->stats(sdp);
-    }
-  }
-  return merged;
-}
-
-mdns::ProbeStats ShardedGateway::probe_stats() const {
-  mdns::ProbeStats merged;
-  for (const auto& entry : shards_) merged += entry.indiss->probe_stats();
-  return merged;
-}
-
-std::uint64_t ShardedGateway::ring_dropped() const {
-  std::uint64_t total = 0;
-  for (const auto& entry : shards_) total += entry.ring->dropped();
-  return total;
+  // Shard 0 first: broadcast deliveries keep the same shard order every run.
+  replicated_ += shards_.size() - 1;
+  for (std::size_t i = 0; i < shards_.size(); ++i) deliver(i, sdp, datagram);
 }
 
 }  // namespace indiss::core::shard

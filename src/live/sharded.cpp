@@ -4,210 +4,96 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
-#include "common/logging.hpp"
-
 namespace indiss::live {
+namespace detail {
+
+ShardRuntimes::Runtime::Runtime(const LiveConfig& live,
+                                std::size_t ring_capacity)
+    : transport(loop, live),
+      ring(ring_capacity),
+      wake_fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+
+ShardRuntimes::Runtime::~Runtime() {
+  if (wake_fd >= 0) ::close(wake_fd);
+}
+
+ShardRuntimes::ShardRuntimes(EventLoop& dispatcher_loop,
+                             const LiveShardConfig& config) {
+  LiveConfig front_config = config.live;
+  front_config.name += "-front";
+  front_transport_ =
+      std::make_unique<LiveTransport>(dispatcher_loop, front_config);
+  for (std::size_t i = 0; i < std::max<std::size_t>(config.shards, 1); ++i) {
+    LiveConfig shard_transport = config.live;
+    shard_transport.name += "#" + std::to_string(i);
+    shard_transport.seed = config.live.seed + 1 + i;
+    runtimes_.push_back(
+        std::make_unique<Runtime>(shard_transport, config.ring_capacity));
+    shard_hosts_.push_back(&runtimes_.back()->transport);
+  }
+}
+
+}  // namespace detail
 
 LiveShardPool::LiveShardPool(EventLoop& dispatcher_loop,
                              LiveShardConfig config)
-    : dispatcher_loop_(dispatcher_loop),
-      config_(std::move(config)),
-      own_endpoints_(std::make_shared<core::OwnEndpoints>()) {
-  if (config_.shards == 0) config_.shards = 1;
+    : ShardRuntimes(dispatcher_loop, config),
+      ShardedGateway(*front_transport_, shard_hosts_, std::move(config)) {}
 
-  LiveConfig front_config = config_.live;
-  front_config.name += "-front";
-  front_transport_ =
-      std::make_unique<LiveTransport>(dispatcher_loop_, front_config);
-  // The front monitor carries the node's ingress defenses: a flooding source
-  // is rate-limited once, here, before its datagrams fan out to shard rings.
-  front_monitor_ = std::make_unique<core::Monitor>(
-      *front_transport_, own_endpoints_, config_.indiss.monitor);
+LiveShardPool::~LiveShardPool() { stop(); }
 
-  shards_.reserve(config_.shards);
-  for (std::size_t i = 0; i < config_.shards; ++i) {
-    auto shard = std::make_unique<Shard>(config_.ring_capacity);
-    shard->loop = std::make_unique<EventLoop>();
-
-    LiveConfig shard_transport = config_.live;
-    shard_transport.name += "#" + std::to_string(i);
-    shard_transport.seed = config_.live.seed + 1 + i;
-    shard->transport =
-        std::make_unique<LiveTransport>(*shard->loop, shard_transport);
-
-    core::IndissConfig shard_config = config_.indiss;
-    shard_config.scan_ports = false;
-    shard_config.own_endpoints = own_endpoints_;
-    // Ingress was already rate-limited at the front monitor; limiting again
-    // per shard would double-charge sources whose traffic hashes unevenly.
-    shard_config.monitor = core::MonitorConfig{};
-    shard->indiss = std::make_unique<core::Indiss>(*shard->transport,
-                                                   std::move(shard_config));
-
-    shard->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    shards_.push_back(std::move(shard));
-  }
-}
-
-LiveShardPool::~LiveShardPool() {
-  stop();
-  for (auto& shard : shards_) {
-    if (shard->wake_fd >= 0) ::close(shard->wake_fd);
-  }
-}
-
-void LiveShardPool::start() {
-  if (running_) return;
-  running_ = true;
-
-  // Everything a shard thread will touch is wired here, on the dispatcher
-  // thread, before that thread exists: Indiss::start() opens the unit
-  // sockets (registering them with the shard loop and the shared
-  // own-endpoint set), and the wakeup handler is the thread's only entry
-  // point for work.
-  for (auto& shard : shards_) {
-    shard->indiss->start();
-    Shard* rt = shard.get();
-    rt->loop->watch(rt->wake_fd, EPOLLIN, [rt](std::uint32_t) {
-      std::uint64_t count = 0;
-      [[maybe_unused]] ssize_t r =
-          ::read(rt->wake_fd, &count, sizeof(count));
+// Everything a shard thread will touch is wired here, on the dispatcher
+// thread, before that thread exists: the shard's Indiss has started (its
+// unit sockets registered with the shard loop and the shared own-endpoint
+// set), and the wakeup handler is the thread's only entry point for work.
+void LiveShardPool::start_delivery() {
+  for (std::size_t i = 0; i < runtimes_.size(); ++i) {
+    Runtime* rt = runtimes_[i].get();
+    core::Indiss* indiss = &shard(i);
+    rt->loop.watch(rt->wake_fd, EPOLLIN, [rt, indiss](std::uint32_t) {
+      eventfd_t count = 0;
+      eventfd_read(rt->wake_fd, &count);
       core::shard::IngressItem item;
-      while (rt->ring.poll(item)) {
-        rt->indiss->ingest(item.sdp, item.datagram);
-      }
+      while (rt->ring.poll(item)) indiss->ingest(item.sdp, item.datagram);
     });
-    shard->thread = std::thread([rt]() { rt->loop->run(); });
-  }
-
-  front_monitor_->set_detection_handler(
-      [this](core::SdpId sdp, const net::Datagram& datagram) {
-        dispatch(sdp, datagram);
-      });
-  if (config_.scan_ports) {
-    for (const auto& entry : core::iana_table()) {
-      if (config_.indiss.enabled_sdps.contains(entry.sdp)) {
-        front_monitor_->scan(entry);
-      }
-    }
-  }
-  log::info("shard", "live pool started: ", shards_.size(),
-            " shard threads, ring=", shards_.front()->ring.capacity());
-}
-
-void LiveShardPool::stop() {
-  if (!running_) return;
-  running_ = false;
-
-  for (core::SdpId sdp : {core::SdpId::kSlp, core::SdpId::kUpnp,
-                          core::SdpId::kJini, core::SdpId::kMdns}) {
-    front_monitor_->stop_scanning(sdp);
-  }
-  front_monitor_->set_detection_handler(nullptr);
-
-  // stop() is cross-thread safe (atomic flag); the eventfd write pops the
-  // loop out of epoll_wait so it notices promptly. join() is the
-  // happens-before edge that makes every shard counter readable from here.
-  for (auto& shard : shards_) {
-    shard->loop->stop();
-    wake(*shard);
-  }
-  for (auto& shard : shards_) {
-    if (shard->thread.joinable()) shard->thread.join();
-  }
-  // The shards' Indiss instances stay constructed (their loops are dead, so
-  // they are inert) — tearing them down here would destroy the unit
-  // registries and with them the statistics the caller is about to merge.
-  // ~LiveShardPool finishes the teardown.
-  for (auto& shard : shards_) shard->loop->unwatch(shard->wake_fd);
-}
-
-void LiveShardPool::dispatch(core::SdpId sdp, const net::Datagram& datagram) {
-  if (!running_) return;
-  dispatched_ += 1;
-  core::shard::Route route = core::shard::classify(sdp, datagram);
-  if (route == core::shard::Route::kHashed) {
-    BytesView wire(datagram.payload.data(), datagram.payload.size());
-    std::size_t index = core::shard::shard_for(wire, shards_.size());
-    Shard& shard = *shards_[index];
-    if (shard.ring.offer(core::shard::IngressItem{sdp, datagram})) {
-      wake(shard);
-    }
-  } else {
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (i > 0) replicated_ += 1;
-      Shard& shard = *shards_[i];
-      if (shard.ring.offer(core::shard::IngressItem{sdp, datagram})) {
-        wake(shard);
-      }
-    }
+    rt->thread = std::thread([rt]() { rt->loop.run(); });
   }
 }
 
-void LiveShardPool::wake(Shard& shard) {
-  std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t r =
-      ::write(shard.wake_fd, &one, sizeof(one));
+// stop() is cross-thread safe (atomic flag); the eventfd write pops the loop
+// out of epoll_wait so it notices promptly. join() is the happens-before
+// edge that makes every shard counter readable from here. The shards'
+// Indiss instances stay constructed (their loops are dead, so they are
+// inert) — tearing them down here would destroy the unit registries and
+// with them the statistics the caller is about to merge.
+void LiveShardPool::stop_delivery() {
+  for (auto& rt : runtimes_) {
+    rt->loop.stop();
+    eventfd_write(rt->wake_fd, 1);
+  }
+  for (auto& rt : runtimes_) {
+    if (rt->thread.joinable()) rt->thread.join();
+    rt->loop.unwatch(rt->wake_fd);
+  }
 }
 
-std::uint64_t LiveShardPool::ingress_accepted() const {
+void LiveShardPool::deliver(std::size_t index, core::SdpId sdp,
+                            const net::Datagram& datagram) {
+  Runtime& rt = *runtimes_[index];
+  if (rt.ring.offer(core::shard::IngressItem{sdp, datagram})) {
+    eventfd_write(rt.wake_fd, 1);
+  }
+}
+
+std::uint64_t LiveShardPool::ring_total(
+    std::uint64_t (Ring::*counter)() const) const {
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->ring.accepted();
+  for (const auto& rt : runtimes_) total += (rt->ring.*counter)();
   return total;
-}
-
-std::uint64_t LiveShardPool::ingress_consumed() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->ring.consumed();
-  return total;
-}
-
-std::uint64_t LiveShardPool::ring_dropped() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->ring.dropped();
-  return total;
-}
-
-core::Unit::Stats LiveShardPool::unit_stats(core::SdpId sdp) const {
-  core::Unit::Stats merged;
-  for (const auto& shard : shards_) {
-    if (const core::Unit* unit = shard->indiss->unit(sdp)) {
-      merged += unit->stats();
-    }
-  }
-  return merged;
-}
-
-core::TranslationCache::SdpStats LiveShardPool::translation_stats(
-    core::SdpId sdp) const {
-  core::TranslationCache::SdpStats merged;
-  for (const auto& shard : shards_) {
-    if (const core::TranslationCache* cache =
-            shard->indiss->translation_cache()) {
-      merged += cache->stats(sdp);
-    }
-  }
-  return merged;
-}
-
-core::ServiceDirectory::SdpStats LiveShardPool::directory_stats(
-    core::SdpId sdp) const {
-  core::ServiceDirectory::SdpStats merged;
-  for (const auto& shard : shards_) {
-    if (const core::ServiceDirectory* dir = shard->indiss->directory()) {
-      merged += dir->stats(sdp);
-    }
-  }
-  return merged;
-}
-
-mdns::ProbeStats LiveShardPool::probe_stats() const {
-  mdns::ProbeStats merged;
-  for (const auto& shard : shards_) merged += shard->indiss->probe_stats();
-  return merged;
 }
 
 }  // namespace indiss::live

@@ -1,26 +1,26 @@
 // The sharded translation pipeline, threaded form (docs/sharding.md).
 //
-// One dispatcher event loop (the caller's — indissd's main loop) owns the
-// front-end transport and Monitor that bind the IANA well-known ports. Each
-// received datagram is classified (core/shard/router.hpp) and offered into
-// per-shard MPSC ingress rings; an eventfd write wakes the target shard.
-//
-// Each shard is a whole single-threaded gateway on its own thread: its own
-// EventLoop (epoll + timer wheel), its own LiveTransport (egress sockets,
-// traffic stats, RNG), and a scan-less core::Indiss (units, EventBus,
-// sessions, TranslationCache). Nothing is shared between shard threads
-// except the internally-synchronized OwnEndpoints set and the rings; a
-// shard's egress goes straight out its own sockets, so there is no egress
-// funnel to contend on.
+// The shard set itself — front Monitor, scan-less Indiss shards, routing,
+// dispatch counters, merged statistics — is core::shard::ShardedGateway.
+// This class adds only the threading. The dispatcher event loop (the
+// caller's — indissd's main loop) owns the front transport whose Monitor
+// binds the IANA well-known ports. Each shard runs on its own thread with
+// its own EventLoop (epoll + timer wheel) and LiveTransport (egress sockets,
+// traffic stats, RNG); a routed datagram is offered into the shard's MPSC
+// ingress ring and an eventfd write wakes the shard. Shard threads share
+// only the OwnEndpoints set and the rings; each shard's egress goes straight
+// out its own sockets, so there is no egress funnel to contend on.
 //
 // Threading contract:
 //   - Construction, start(), and stop() happen on the dispatcher thread.
 //     All shard-loop fd registrations happen before the thread spawns.
 //   - dispatch() runs on the dispatcher thread only.
 //   - Cross-thread communication is ring + eventfd, nothing else.
-//   - Merged statistics accessors are valid only after stop() — joining the
-//     shard threads is the happens-before edge that makes the shards' plain
-//     counters safe to read (docs/sharding.md).
+//   - stop() joins the shard threads but leaves their gateways constructed
+//     (inert); destruction finishes the teardown. Merged statistics
+//     accessors and shard(i) are valid only after stop() — the join is the
+//     happens-before edge that makes the shards' plain counters safe to
+//     read (docs/sharding.md).
 #pragma once
 
 #include <cstddef>
@@ -29,123 +29,88 @@
 #include <thread>
 #include <vector>
 
-#include "core/indiss.hpp"
-#include "core/monitor.hpp"
 #include "core/shard/ingress_ring.hpp"
 #include "core/shard/router.hpp"
+#include "core/shard/sharded_gateway.hpp"
 #include "live/event_loop.hpp"
 #include "live/transport.hpp"
 
 namespace indiss::live {
 
-struct LiveShardConfig {
-  std::size_t shards = 2;
+/// shards, scan_ports and indiss as for the inline form.
+struct LiveShardConfig : core::shard::ShardedConfig {
   /// Per-shard ingress ring capacity; overflow drops (never blocks the
   /// dispatcher's receive path).
   std::size_t ring_capacity = 4096;
-  /// When false the front monitor binds nothing; traffic enters through
-  /// dispatch() directly (tests).
-  bool scan_ports = true;
   /// Template for the front transport and every shard transport. Shard i
   /// gets name "<name>#i" and seed+1+i.
   LiveConfig live;
-  /// Template for every shard's Indiss (scan_ports/own_endpoints fields
-  /// inside are overwritten).
-  core::IndissConfig indiss;
 };
 
-class LiveShardPool {
+namespace detail {
+
+/// The transports the shard set runs on, built before it (base-from-member):
+/// the dispatcher's front transport plus what each shard thread owns.
+struct ShardRuntimes {
+  struct Runtime {
+    Runtime(const LiveConfig& live, std::size_t ring_capacity);
+    ~Runtime();
+
+    EventLoop loop;
+    LiveTransport transport;
+    core::shard::IngressRing<core::shard::IngressItem> ring;
+    int wake_fd = -1;
+    std::thread thread;
+  };
+
+  ShardRuntimes(EventLoop& dispatcher_loop, const LiveShardConfig& config);
+
+  std::unique_ptr<LiveTransport> front_transport_;
+  // unique_ptr: the shard set and the shard threads hold their addresses.
+  std::vector<std::unique_ptr<Runtime>> runtimes_;
+  std::vector<transport::Transport*> shard_hosts_;
+};
+
+}  // namespace detail
+
+class LiveShardPool : private detail::ShardRuntimes,
+                      public core::shard::ShardedGateway {
  public:
   LiveShardPool(EventLoop& dispatcher_loop, LiveShardConfig config = {});
-  ~LiveShardPool();
+  ~LiveShardPool() override;
 
-  LiveShardPool(const LiveShardPool&) = delete;
-  LiveShardPool& operator=(const LiveShardPool&) = delete;
-
-  /// Starts every shard's Indiss, registers its wakeup fd, spawns the shard
-  /// threads, then begins front-end scanning. Dispatcher thread only.
-  void start();
-  /// Stops and joins every shard thread. The shards' gateways stay
-  /// constructed but inert, so after this the merged statistics accessors
-  /// are safe (and nonzero); destruction finishes the teardown. Dispatcher
-  /// thread only.
-  void stop();
-  [[nodiscard]] bool running() const { return running_; }
-
-  /// Routes one datagram (hash → one ring, control → all rings) and wakes
-  /// the target shard(s). Dispatcher thread only.
-  void dispatch(core::SdpId sdp, const net::Datagram& datagram);
-
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  /// The front-end (scanning) monitor: detections, datagrams_seen.
-  [[nodiscard]] core::Monitor& front_monitor() { return *front_monitor_; }
   [[nodiscard]] LiveTransport& front_transport() { return *front_transport_; }
-  /// A shard's gateway. Only safe to touch while its thread is quiesced
-  /// (before start() or after stop()).
-  [[nodiscard]] core::Indiss& shard(std::size_t index) {
-    return *shards_[index]->indiss;
-  }
 
   // --- Cross-thread progress counters (safe while running) -----------------
 
   /// Ring entries accepted / handed to shards so far, summed. accepted ==
   /// consumed means every queued item has been picked up.
-  [[nodiscard]] std::uint64_t ingress_accepted() const;
-  [[nodiscard]] std::uint64_t ingress_consumed() const;
-  [[nodiscard]] std::uint64_t ring_dropped() const;
+  [[nodiscard]] std::uint64_t ingress_accepted() const {
+    return ring_total(&Ring::accepted);
+  }
+  [[nodiscard]] std::uint64_t ingress_consumed() const {
+    return ring_total(&Ring::consumed);
+  }
+  [[nodiscard]] std::uint64_t ring_dropped() const {
+    return ring_total(&Ring::dropped);
+  }
   /// Per-shard views of the same counters (the daemon's summary).
   [[nodiscard]] std::uint64_t shard_consumed(std::size_t index) const {
-    return shards_[index]->ring.consumed();
+    return runtimes_[index]->ring.consumed();
   }
   [[nodiscard]] std::uint64_t shard_dropped(std::size_t index) const {
-    return shards_[index]->ring.dropped();
-  }
-
-  // --- Merged statistics (quiesced only: after stop()) ---------------------
-
-  [[nodiscard]] core::Unit::Stats unit_stats(core::SdpId sdp) const;
-  [[nodiscard]] core::TranslationCache::SdpStats translation_stats(
-      core::SdpId sdp) const;
-  /// Per-shard directory counters summed (zeroed when directory mode is
-  /// off) — the gateway-wide answered-vs-bridged picture (docs/directory.md).
-  [[nodiscard]] core::ServiceDirectory::SdpStats directory_stats(
-      core::SdpId sdp) const;
-  /// Per-shard mDNS probe/conflict counters summed (zeroed when probing is
-  /// off).
-  [[nodiscard]] mdns::ProbeStats probe_stats() const;
-  /// Datagrams routed (each broadcast counts once). Dispatcher thread.
-  [[nodiscard]] std::uint64_t datagrams_dispatched() const {
-    return dispatched_;
-  }
-  [[nodiscard]] std::uint64_t datagrams_replicated() const {
-    return replicated_;
+    return runtimes_[index]->ring.dropped();
   }
 
  private:
-  struct Shard {
-    // Declaration order is teardown order in reverse: the thread is joined
-    // by stop() before any of these die.
-    std::unique_ptr<EventLoop> loop;
-    std::unique_ptr<LiveTransport> transport;
-    std::unique_ptr<core::Indiss> indiss;
-    core::shard::IngressRing<core::shard::IngressItem> ring;
-    int wake_fd = -1;
-    std::thread thread;
+  using Ring = core::shard::IngressRing<core::shard::IngressItem>;
 
-    explicit Shard(std::size_t ring_capacity) : ring(ring_capacity) {}
-  };
+  void deliver(std::size_t index, core::SdpId sdp,
+               const net::Datagram& datagram) override;
+  void start_delivery() override;
+  void stop_delivery() override;
 
-  void wake(Shard& shard);
-
-  EventLoop& dispatcher_loop_;
-  LiveShardConfig config_;
-  std::shared_ptr<core::OwnEndpoints> own_endpoints_;
-  std::unique_ptr<LiveTransport> front_transport_;
-  std::unique_ptr<core::Monitor> front_monitor_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::uint64_t dispatched_ = 0;
-  std::uint64_t replicated_ = 0;
-  bool running_ = false;
+  std::uint64_t ring_total(std::uint64_t (Ring::*counter)() const) const;
 };
 
 }  // namespace indiss::live

@@ -45,11 +45,24 @@ void UdpSocket::close() {
   }
   groups_.clear();
   host_.network().udp_unregister(this);
+  if (!dispatching_) drop_handler();
+}
+
+// A closed socket drops its handler, whose captures may own this socket.
+// The handler is destroyed last: it may hold the final reference.
+void UdpSocket::drop_handler() {
+  ReceiveHandler dropped;
+  dropped.swap(handler_);
 }
 
 void UdpSocket::deliver(const Datagram& datagram) {
   if (closed_ || !handler_) return;
+  // The handler may close this socket; close() then leaves the running
+  // handler alone and it is dropped here.
+  dispatching_ = true;
   handler_(datagram);
+  dispatching_ = false;
+  if (closed_) drop_handler();
 }
 
 }  // namespace indiss::net

@@ -57,6 +57,8 @@ class UdpSocket : public transport::UdpSocket {
   [[nodiscard]] std::shared_ptr<bool> liveness() const { return alive_; }
 
  private:
+  void drop_handler();
+
   Host& host_;
   std::uint16_t port_;
   std::uint64_t id_;
@@ -64,6 +66,7 @@ class UdpSocket : public transport::UdpSocket {
   ReceiveHandler handler_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   bool closed_ = false;
+  bool dispatching_ = false;
 };
 
 }  // namespace indiss::net

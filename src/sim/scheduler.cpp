@@ -45,6 +45,22 @@ void Scheduler::drop_stale_entries() {
   while (!heap_.empty() && entry_stale(heap_.front())) pop_entry();
 }
 
+// A cancelled task's entry would otherwise stay queued until its deadline
+// (10 s for a retired session's timeout), so the heap would hold message
+// rate x timeout dead entries. Once stale entries outnumber live ones, they
+// are erased in place and the heap rebuilt: amortized O(1) per cancel, no
+// allocation, and pop order is unchanged because (at, seq) is unique.
+void Scheduler::compact_if_mostly_stale() {
+  constexpr std::size_t kMinCompactSize = 64;
+  if (heap_.size() < kMinCompactSize ||
+      heap_.size() - live_queued_ <= live_queued_) {
+    return;
+  }
+  std::erase_if(heap_,
+                [this](const HeapEntry& entry) { return entry_stale(entry); });
+  std::make_heap(heap_.begin(), heap_.end(), EntryLater{});
+}
+
 std::optional<SimTime> Scheduler::next_deadline() {
   drop_stale_entries();
   if (heap_.empty()) return std::nullopt;
@@ -83,6 +99,7 @@ void Scheduler::cancel_task(std::uint32_t index, std::uint64_t generation) {
   if (slot.state == Slot::State::kQueued) {
     --live_queued_;
     release_slot(index);
+    compact_if_mostly_stale();
   }
   // kRunning: the task cancelled itself mid-execution; fire() observes the
   // generation bump once the body returns and frees the slot then.

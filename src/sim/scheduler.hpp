@@ -9,7 +9,10 @@
 // lives in a free-listed slot arena addressed by (slot index, generation).
 // Cancellation is a generation bump, so a handle can never touch a later
 // task that reuses its slot, and the common schedule/cancel/fire cycle
-// performs zero heap allocations once the arena and heap are warm.
+// performs zero heap allocations once the arena and heap are warm. A
+// cancelled task's heap entry is dropped lazily, when it reaches the top or
+// when stale entries come to outnumber live ones, so the heap stays within
+// twice the live task count (above a small floor).
 //
 // The InlineTask callable and the TaskHandle value type live in
 // transport/task.hpp, shared with the live epoll backend: live::EventLoop
@@ -119,6 +122,7 @@ class Scheduler : public transport::TimerService {
   void pop_entry();
   [[nodiscard]] bool entry_stale(const HeapEntry& entry) const;
   void drop_stale_entries();
+  void compact_if_mostly_stale();
   void fire(const HeapEntry& entry);
   bool run_ready();
 

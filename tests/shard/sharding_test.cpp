@@ -1,7 +1,8 @@
-// Shard routing and virtual-shard gateway tests (docs/sharding.md):
-// byte-identical wires always map to the same shard, the classifier sends
-// advertisements to one shard and control traffic to all, and the
-// ShardedGateway's merged statistics equal the per-shard sums.
+// Shard routing and inline shard-set tests (docs/sharding.md): byte-identical
+// wires always map to the same shard, the classifier sends advertisements to
+// one shard and control traffic to all, the ShardedGateway's merged
+// statistics equal the per-shard sums, and rate limiting happens once, at
+// the front monitor.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -200,7 +201,6 @@ TEST_F(VirtualShardFixture, AdvertisementLandsOnExactlyOneShard) {
   EXPECT_EQ(parsed_total, 1u);
   EXPECT_EQ(gateway.datagrams_dispatched(), 2u);
   EXPECT_EQ(gateway.datagrams_replicated(), 0u);
-  EXPECT_EQ(gateway.ring_dropped(), 0u);
   EXPECT_EQ(gateway.front_monitor().datagrams_seen(), 2u);
   EXPECT_TRUE(gateway.front_monitor().has_detected(SdpId::kSlp));
 }
@@ -225,7 +225,10 @@ TEST_F(VirtualShardFixture, RequestIsReplicatedToEveryShard) {
 // members, and the gateway-level accessors merge them at read time. The
 // merged view must equal the per-shard sums exactly.
 TEST_F(VirtualShardFixture, MergedStatsEqualPerShardSums) {
-  ShardedGateway gateway(gateway_host, make_config(2));
+  // Directory mode, so every shard's index has counters to merge too.
+  ShardedConfig config = make_config(2);
+  config.indiss.enable_directory = true;
+  ShardedGateway gateway(gateway_host, config);
   gateway.start();
   scheduler.run_for(sim::millis(10));
 
@@ -261,25 +264,64 @@ TEST_F(VirtualShardFixture, MergedStatsEqualPerShardSums) {
   EXPECT_EQ(cache.hits, 6u);
   EXPECT_GT(gateway.shard(0).unit(SdpId::kSlp)->stats().messages_parsed, 0u);
   EXPECT_GT(gateway.shard(1).unit(SdpId::kSlp)->stats().messages_parsed, 0u);
+
+  // Control traffic, replicated to both shards: each shard holds some clock
+  // records, so each answers the request from its own index; the withdrawal
+  // tombstones the one record its owning shard holds.
+  send_slp(slp_request());
+  send_slp(slp_deregistration(0));
+  ServiceDirectory::SdpStats expected_directory;
+  for (std::size_t i = 0; i < gateway.shard_count(); ++i) {
+    expected_directory += gateway.shard(i).directory()->stats(SdpId::kSlp);
+  }
+  ServiceDirectory::SdpStats directory = gateway.directory_stats(SdpId::kSlp);
+  EXPECT_EQ(directory.answered, expected_directory.answered);
+  EXPECT_EQ(directory.bridged, expected_directory.bridged);
+  EXPECT_EQ(directory.records_stored, expected_directory.records_stored);
+  EXPECT_EQ(directory.withdrawals, expected_directory.withdrawals);
+  EXPECT_EQ(directory.records_stored, 6u);
+  EXPECT_EQ(directory.answered, 2u);
+  EXPECT_EQ(directory.withdrawals, 1u);
 }
 
-TEST_F(VirtualShardFixture, RingOverflowDropsAndCounts) {
-  ShardedConfig config = make_config(1);
-  config.ring_capacity = 8;
-  config.scan_ports = false;
-  config.auto_pump = false;  // hold items in the ring to force overflow
+// Rate limiting is the front monitor's job in every form: a sharded gateway
+// sheds a flood once, before fan-out, exactly as an unsharded one does. A
+// per-shard limit would give one source a separate bucket on every shard.
+TEST_F(VirtualShardFixture, RateLimitShedsAtTheFrontLikeAnUnshardedGateway) {
+  ShardedConfig config = make_config(2);
+  config.indiss.monitor.rate_limit_per_sec = 5.0;  // burst: 10 datagrams
+  // Distinct registrations from one source, all arriving at one instant.
+  auto flood = [&] {
+    auto socket = device_host.udp_socket(0);
+    for (int device = 0; device < 40; ++device) {
+      socket->send_to(net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort},
+                      slp_registration(device));
+    }
+    scheduler.run_for(sim::seconds(30));
+  };
+
+  std::uint64_t unsharded_shed = 0;
+  {
+    Indiss indiss(gateway_host, config.indiss);
+    indiss.start();
+    scheduler.run_for(sim::millis(10));
+    flood();
+    unsharded_shed = indiss.monitor().stats().rate_limited;
+  }
+  ASSERT_GT(unsharded_shed, 0u);
+
   ShardedGateway gateway(gateway_host, config);
   gateway.start();
   scheduler.run_for(sim::millis(10));
-
-  for (int device = 0; device < 11; ++device) {
-    gateway.dispatch(SdpId::kSlp,
-                     make_datagram(slp_registration(device), 40000));
+  flood();
+  EXPECT_EQ(gateway.front_monitor().stats().rate_limited, unsharded_shed);
+  for (std::size_t i = 0; i < gateway.shard_count(); ++i) {
+    EXPECT_EQ(gateway.shard(i).monitor().stats().rate_limited, 0u)
+        << "shard " << i;
+    // The admitted registrations hashed across both shards.
+    EXPECT_GT(gateway.shard(i).unit(SdpId::kSlp)->stats().messages_parsed, 0u)
+        << "shard " << i;
   }
-  EXPECT_EQ(gateway.ring_dropped(), 3u);  // 8 queued, 3 rejected
-  EXPECT_EQ(gateway.pump(), 8u);
-  scheduler.run_for(sim::seconds(1));
-  EXPECT_EQ(gateway.unit_stats(SdpId::kSlp).messages_parsed, 8u);
 }
 
 }  // namespace

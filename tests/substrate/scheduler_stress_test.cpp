@@ -170,6 +170,28 @@ TEST(SchedulerStress, InlineScheduleCancelFireCyclesAreAllocationFree) {
   EXPECT_EQ(fired, 64u + 1'000u);
 }
 
+// Cancelling a long timer (a completed session's timeout) must not leave its
+// heap entry queued until the deadline: dead entries are compacted away once
+// they outnumber live ones, so the heap never grows.
+TEST(SchedulerStress, LongTimerScheduleCancelCyclesAreAllocationFree) {
+  Scheduler scheduler;
+  std::uint64_t fired = 0;
+  TaskHandle live = scheduler.schedule(seconds(60), [&] { ++fired; });
+  for (int i = 0; i < 1'000; ++i) {  // warm-up: heap reaches its bound
+    scheduler.schedule(seconds(10), [&] { ++fired; }).cancel();
+  }
+  std::uint64_t allocs_before = indiss::testing::g_heap_allocs;
+  for (int i = 0; i < 10'000; ++i) {
+    scheduler.schedule(seconds(10), [&] { ++fired; }).cancel();
+  }
+  std::uint64_t allocs = indiss::testing::g_heap_allocs - allocs_before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(scheduler.pending_tasks(), 1u);
+  scheduler.run_all();
+  EXPECT_EQ(fired, 1u);
+  EXPECT_FALSE(live.pending());
+}
+
 TEST(SchedulerProperty, RunUntilNeverRunsPastDeadlineOverCancelledHead) {
   // Historic std::map-scheduler bug, pinned fixed: a cancelled entry at the
   // queue head made run_until execute the next live task even when that task

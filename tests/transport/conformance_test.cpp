@@ -324,6 +324,33 @@ TEST_P(ConformanceTest, TcpHandlersCapturingTheirSocketAreReleasedOnClose) {
   }
 }
 
+// The UDP twin: a receive handler that captures its own socket must not
+// keep it alive once it closes — whether it closes itself from inside the
+// handler or its owner closes it.
+TEST_P(ConformanceTest, UdpHandlersCapturingTheirSocketAreReleasedOnClose) {
+  auto closes_itself = node().open_udp(0);
+  closes_itself->set_receive_handler(
+      [socket = closes_itself](const net::Datagram&) { socket->close(); });
+  auto owner_closes = node().open_udp(0);
+  owner_closes->set_receive_handler(
+      [socket = owner_closes](const net::Datagram&) {});
+  const net::Endpoint target = closes_itself->local_endpoint();
+  std::weak_ptr<transport::UdpSocket> self_closed = closes_itself;
+  std::weak_ptr<transport::UdpSocket> owner_closed = owner_closes;
+  closes_itself.reset();
+  owner_closes->close();
+  owner_closes.reset();
+  EXPECT_TRUE(owner_closed.expired())
+      << "closed socket kept alive by its handler";
+  ASSERT_FALSE(self_closed.expired());  // open: its handler holds it
+
+  auto sender = node().open_udp(0);
+  sender->send_to(target, payload_of("bye"));
+  run_for(transport::millis(50));
+  EXPECT_TRUE(self_closed.expired())
+      << "closed socket kept alive by its handler";
+}
+
 TEST_P(ConformanceTest, TimeAdvancesAcrossRun) {
   transport::TimePoint before = node().now();
   run_for(transport::millis(20));
