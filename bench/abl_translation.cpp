@@ -22,6 +22,9 @@
 #include "core/units/upnp_unit.hpp"
 #include "jini/discovery.hpp"
 #include "mdns/dns.hpp"
+#include "net/host.hpp"
+#include "net/network.hpp"
+#include "sim/scheduler.hpp"
 #include "slp/wire.hpp"
 #include "upnp/description.hpp"
 #include "upnp/ssdp.hpp"
@@ -412,6 +415,89 @@ void BM_SsdpSerializeParseRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SsdpSerializeParseRoundTrip);
+
+// --- Foreign-service table scaling ------------------------------------------
+//
+// BM_ForeignAdvertScaling: the SLP and mDNS units each hold N bridged
+// foreign services; one op is, on both units, the first sight of a service,
+// the refresh of another one across the table and the withdrawal of a
+// third, so the table stays at N. With the keyed table every step is O(1)
+// and the 16k case costs about what the 1k case does; a table scanned per
+// advertisement costs O(N) per step.
+
+struct ScalingSlpUnit : core::SlpUnit {
+  using core::SlpUnit::SlpUnit;
+  using core::SlpUnit::on_advertisement;
+};
+struct ScalingMdnsUnit : core::MdnsUnit {
+  using core::MdnsUnit::MdnsUnit;
+  using core::MdnsUnit::on_advertisement;
+};
+
+core::Session scaling_session(std::string_view kind) {
+  core::Session session;
+  session.origin = core::Session::Origin::kPeer;
+  session.set_var("kind", kind);
+  session.set_var("service_type", "clock");
+  session.collected.push_back(core::Event(core::EventType::kControlStart));
+  session.collected.push_back(core::Event(
+      kind == "alive" ? core::EventType::kServiceAlive
+                      : core::EventType::kServiceByeBye));
+  session.collected.push_back(
+      core::Event(core::EventType::kServiceTypeIs, {{"type", "clock"}}));
+  session.collected.push_back(
+      core::Event(core::EventType::kResTtl, {{"seconds", "1800"}}));
+  session.collected.push_back(
+      core::Event(core::EventType::kResServUrl, {{"url", ""}}));
+  session.collected.push_back(core::Event(core::EventType::kControlStop));
+  return session;
+}
+
+void BM_ForeignAdvertScaling(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Scheduler scheduler;
+  net::Network network{scheduler, net::LinkProfile{}, 7};
+  net::Host& host = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+  ScalingSlpUnit slp(host);
+  ScalingMdnsUnit mdns(host);
+
+  // n + 1 URLs; n of them are bridged at any time.
+  std::vector<std::string> urls(n + 1);
+  for (std::size_t i = 0; i <= n; ++i) {
+    urls[i] = "soap://10.2." + std::to_string(i / 256) + "." +
+              std::to_string(i % 256) + ":4005/scaling-" + std::to_string(n);
+  }
+  core::Session alive = scaling_session("alive");
+  core::Session byebye = scaling_session("byebye");
+  core::Event& alive_url = alive.collected[4];
+  core::Event& byebye_url = byebye.collected[4];
+  auto advertise = [&](core::Session& session, core::Event& url_event,
+                       const std::string& url) {
+    url_event.set("url", url);
+    slp.on_advertisement(session);
+    mdns.on_advertisement(session);
+  };
+  for (std::size_t i = 0; i < n; ++i) advertise(alive, alive_url, urls[i]);
+  scheduler.run_all();
+
+  std::size_t absent = n;
+  std::size_t ops = 0;
+  for (auto _ : state) {
+    advertise(alive, alive_url, urls[absent]);  // first sight
+    advertise(alive, alive_url, urls[(absent + n / 2) % (n + 1)]);  // refresh
+    absent = (absent + 1) % (n + 1);
+    advertise(byebye, byebye_url, urls[absent]);  // withdrawal
+    if (++ops % 256 == 0) scheduler.run_all();  // drain the multicast sends
+  }
+  scheduler.run_all();
+  if (slp.foreign_services().size() != n ||
+      mdns.foreign_services().size() != n) {
+    state.SkipWithError("the table did not stay at n entries");
+  }
+  state.counters["table_size"] = benchmark::Counter(static_cast<double>(n));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ForeignAdvertScaling)->Arg(1024)->Arg(16384);
 
 // --- Directory lookup scaling -----------------------------------------------
 //

@@ -89,7 +89,7 @@ bool ServiceDirectory::record_advertisement(SdpId origin,
     record.ttl = ttl;
     record.expires_at = now + ttl;
     record.generation = generation_;
-    record.last_used = ++tick_;
+    mark_used(record);
     record.origin = origin;
     if (wkey != 0 && wkey != record.wire_key) {
       by_wire_.erase(record.wire_key);
@@ -114,11 +114,10 @@ bool ServiceDirectory::record_advertisement(SdpId origin,
   record.expires_at = now + ttl;
   record.wire_key = wkey;
   record.generation = generation_;
-  record.last_used = ++tick_;
 
   bucket_for(record.canonical_type)[record.canonical_type].push_back(url);
   if (wkey != 0) by_wire_[wkey] = url;
-  records_.emplace(url, std::move(record));
+  mark_used(records_.emplace(url, std::move(record)).first->second);
   sdp_stats(origin).records_stored += 1;
   bump_answer_epoch();
   evict_if_needed();
@@ -159,7 +158,7 @@ bool ServiceDirectory::touch(SdpId, BytesView wire, transport::TimePoint now) {
   Record& record = rec->second;
   if (record.generation != generation_) return false;
   record.expires_at = now + record.ttl;
-  record.last_used = ++tick_;
+  mark_used(record);
   return true;
 }
 
@@ -177,7 +176,7 @@ std::size_t ServiceDirectory::collect(std::string_view canonical_type,
     if (rec == records_.end()) continue;
     Record& record = rec->second;
     if (record.generation != generation_ || record.expires_at <= now) continue;
-    record.last_used = ++tick_;
+    mark_used(record);
     out.push_back(&record);
   }
   return out.size();
@@ -205,7 +204,7 @@ void ServiceDirectory::bump_generation() {
 std::size_t ServiceDirectory::sweep(transport::TimePoint now) {
   std::size_t erased = 0;
   for (auto it = records_.begin(); it != records_.end();) {
-    const Record& record = it->second;
+    Record& record = it->second;
     if (record.generation != generation_ || record.expires_at <= now) {
       unindex(record);
       it = records_.erase(it);
@@ -221,7 +220,7 @@ std::size_t ServiceDirectory::sweep(transport::TimePoint now) {
   return erased;
 }
 
-void ServiceDirectory::unindex(const Record& record) {
+void ServiceDirectory::unindex(Record& record) {
   auto& bucket = bucket_for(record.canonical_type);
   auto it = bucket.find(record.canonical_type);
   if (it != bucket.end()) {
@@ -237,6 +236,7 @@ void ServiceDirectory::unindex(const Record& record) {
     auto wit = by_wire_.find(record.wire_key);
     if (wit != by_wire_.end() && wit->second == record.url) by_wire_.erase(wit);
   }
+  unlink(record);
 }
 
 void ServiceDirectory::erase_record(Symbol url) {
@@ -246,20 +246,31 @@ void ServiceDirectory::erase_record(Symbol url) {
   records_.erase(it);
 }
 
+// Every last_used stamp moves its record to the newest end of the recency
+// list, so the oldest end is always the record with the smallest last_used:
+// the same victim a scan for it would pick, without the scan.
 void ServiceDirectory::evict_if_needed() {
-  while (records_.size() > config_.max_records) {
-    auto victim = records_.end();
-    for (auto it = records_.begin(); it != records_.end(); ++it) {
-      if (victim == records_.end() ||
-          it->second.last_used < victim->second.last_used) {
-        victim = it;
-      }
-    }
-    if (victim == records_.end()) return;
-    unindex(victim->second);
-    records_.erase(victim);
+  while (records_.size() > config_.max_records && oldest_ != nullptr) {
+    erase_record(oldest_->url);
     evictions_ += 1;
   }
+}
+
+void ServiceDirectory::mark_used(Record& record) {
+  record.last_used = ++tick_;
+  if (newest_ == &record) return;
+  if (record.newer != nullptr) unlink(record);  // listed, not the newest
+  record.older = newest_;
+  if (newest_ != nullptr) newest_->newer = &record;
+  newest_ = &record;
+  if (oldest_ == nullptr) oldest_ = &record;
+}
+
+void ServiceDirectory::unlink(Record& record) {
+  (record.older != nullptr ? record.older->newer : oldest_) = record.newer;
+  (record.newer != nullptr ? record.newer->older : newest_) = record.older;
+  record.older = nullptr;
+  record.newer = nullptr;
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@
 //  - The type index is sharded by service-type hash into a fixed number of
 //    buckets, so a lookup touches one small map however many types exist.
 //  - The table is bounded: at `max_records` the least-recently-used record
-//    is evicted (linear scan, same policy as the TranslationCache).
+//    is evicted, found in O(1) at the old end of an intrusive recency list
+//    (same policy and idiom as the TranslationCache).
 //  - Every record carries a TTL-derived deadline (the advertisement's
 //    SDP_RES_TTL, else `default_ttl`); the gateway's timer sweep erases
 //    expired records, and collect() double-checks the deadline so a record
@@ -93,6 +94,9 @@ class ServiceDirectory {
     std::uint64_t wire_key = 0;  // hash+length of the advertisement bytes
     std::uint64_t generation = 0;
     std::uint64_t last_used = 0;
+    /// Recency-list links (oldest use first); directory-internal.
+    Record* older = nullptr;
+    Record* newer = nullptr;
   };
 
   struct SdpStats {
@@ -118,6 +122,9 @@ class ServiceDirectory {
 
   ServiceDirectory();
   explicit ServiceDirectory(Config config);
+  // The recency-list links point into records_: a copy would alias them.
+  ServiceDirectory(const ServiceDirectory&) = delete;
+  ServiceDirectory& operator=(const ServiceDirectory&) = delete;
 
   // --- Population (called by the units on the advertisement path) ----------
 
@@ -225,14 +232,23 @@ class ServiceDirectory {
     return buckets_[static_cast<std::size_t>(type) % buckets_.size()];
   }
 
-  void unindex(const Record& record);
+  /// Drops the record's type, wire and recency links before its erase.
+  void unindex(Record& record);
   void erase_record(Symbol url);
   void evict_if_needed();
+  /// Stamps `last_used` and moves the record to the newest end of the
+  /// recency list (links it first when it is not on the list yet).
+  void mark_used(Record& record);
+  void unlink(Record& record);
   /// Any index mutation invalidates every cached answer.
   void bump_answer_epoch() { answer_epoch_ += 1; }
 
   Config config_;
-  std::unordered_map<Symbol, Record> records_;  // by URL symbol
+  // By URL symbol. Node-based: Record addresses survive rehashing, so the
+  // recency-list links stay valid.
+  std::unordered_map<Symbol, Record> records_;
+  Record* oldest_ = nullptr;
+  Record* newest_ = nullptr;
   std::vector<TypeBucket> buckets_;             // type -> URLs, hash-sharded
   std::unordered_map<std::uint64_t, Symbol> by_wire_;  // advert wire -> URL
   std::vector<Answer> answers_;

@@ -76,14 +76,16 @@ bool Monitor::admit(net::IpAddress source) {
   auto it = buckets_.find(source);
   if (it == buckets_.end()) {
     if (buckets_.size() >= config_.max_tracked_sources &&
-        !buckets_.empty()) {
-      auto stalest = buckets_.begin();
-      for (auto b = buckets_.begin(); b != buckets_.end(); ++b) {
-        if (b->second.last_refill < stalest->second.last_refill) stalest = b;
-      }
-      buckets_.erase(stalest);
+        stalest_ != nullptr) {
+      // The clock never runs backwards, so the stalest end of the recency
+      // list holds the smallest last_refill.
+      net::IpAddress victim = stalest_->source;
+      unlink(*stalest_);
+      buckets_.erase(victim);
     }
-    it = buckets_.emplace(source, SourceBucket{config_.rate_limit_burst, now})
+    it = buckets_
+             .emplace(source,
+                      SourceBucket{config_.rate_limit_burst, now, source})
              .first;
     stats_.sources_tracked = buckets_.size();
   } else {
@@ -94,9 +96,28 @@ bool Monitor::admit(net::IpAddress source) {
                  it->second.tokens + elapsed_sec * config_.rate_limit_per_sec);
     it->second.last_refill = now;
   }
+  mark_refilled(it->second);
   if (it->second.tokens < 1.0) return false;
   it->second.tokens -= 1.0;
   return true;
+}
+
+void Monitor::mark_refilled(SourceBucket& bucket) {
+  if (freshest_ == &bucket) return;
+  if (bucket.fresher != nullptr) unlink(bucket);  // listed, not the freshest
+  bucket.staler = freshest_;
+  if (freshest_ != nullptr) freshest_->fresher = &bucket;
+  freshest_ = &bucket;
+  if (stalest_ == nullptr) stalest_ = &bucket;
+}
+
+void Monitor::unlink(SourceBucket& bucket) {
+  (bucket.staler != nullptr ? bucket.staler->fresher : stalest_) =
+      bucket.fresher;
+  (bucket.fresher != nullptr ? bucket.fresher->staler : freshest_) =
+      bucket.staler;
+  bucket.staler = nullptr;
+  bucket.fresher = nullptr;
 }
 
 void Monitor::on_datagram(SdpId sdp, const net::Datagram& datagram) {

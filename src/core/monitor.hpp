@@ -41,8 +41,9 @@ struct MonitorConfig {
   /// Bucket depth: how large a burst a single source may deliver before
   /// drops start. 0 defaults to 2x the per-second rate.
   double rate_limit_burst = 0.0;
-  /// Sources tracked at once; beyond this the stalest bucket is recycled,
-  /// so one address-spoofing flood cannot grow monitor state unboundedly.
+  /// Sources tracked at once; beyond this the stalest bucket (the least
+  /// recently refilled) is recycled in O(1), so one address-spoofing flood
+  /// cannot grow monitor state unboundedly.
   std::size_t max_tracked_sources = 1024;
 };
 
@@ -56,6 +57,10 @@ class Monitor {
           std::shared_ptr<OwnEndpoints> own_endpoints = nullptr,
           MonitorConfig config = {});
   ~Monitor();
+  // Socket handlers capture `this`, and the rate-limit recency list links
+  // point into buckets_: a copy would alias both.
+  Monitor(const Monitor&) = delete;
+  Monitor& operator=(const Monitor&) = delete;
 
   /// Scans one (group, port) pair from the correspondence table.
   void scan(const IanaEntry& entry);
@@ -107,6 +112,10 @@ class Monitor {
     std::uint64_t sources_tracked = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
+  /// True while `source` holds a rate-limit bucket.
+  [[nodiscard]] bool tracks_source(net::IpAddress source) const {
+    return buckets_.contains(source);
+  }
   [[nodiscard]] const MonitorConfig& config() const { return config_; }
 
   // --- Translation-cache introspection --------------------------------------
@@ -164,11 +173,19 @@ class Monitor {
   /// Token-bucket admission for `source`. True = admit; false = shed.
   [[nodiscard]] bool admit(net::IpAddress source);
 
-  /// One source's token bucket (lazily refilled on arrival).
+  /// One source's token bucket (lazily refilled on arrival), linked into
+  /// a recency list ordered by last_refill (stalest first).
   struct SourceBucket {
     double tokens = 0.0;
     transport::TimePoint last_refill{0};
+    net::IpAddress source;  // the map key, so recycling needs no search
+    SourceBucket* staler = nullptr;
+    SourceBucket* fresher = nullptr;
   };
+  /// Moves `bucket` to the fresh end of the recency list (links it first
+  /// when it is not on the list yet).
+  void mark_refilled(SourceBucket& bucket);
+  void unlink(SourceBucket& bucket);
 
   transport::Transport& host_;
   std::shared_ptr<OwnEndpoints> own_endpoints_;
@@ -181,7 +198,10 @@ class Monitor {
   std::map<SdpId, transport::TimePoint> detected_;
   DetectionHandler detection_handler_;
   Stats stats_;
+  // Node-based: bucket addresses survive inserts, so the links stay valid.
   std::map<net::IpAddress, SourceBucket> buckets_;
+  SourceBucket* stalest_ = nullptr;
+  SourceBucket* freshest_ = nullptr;
 };
 
 }  // namespace indiss::core

@@ -9,6 +9,9 @@
 // DAAdvert the gateway multicasts when directory mode turns on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
 #include <string>
 #include <variant>
 #include <vector>
@@ -225,6 +228,73 @@ TEST(ServiceDirectory, LruEvictsTheLeastRecentlyUsedAtCapacity) {
   EXPECT_EQ(dir.find("service:printer://c"), nullptr) << "LRU victim";
   EXPECT_NE(dir.find("service:clock://a"), nullptr);
   EXPECT_NE(dir.find("service:camera://d"), nullptr);
+}
+
+// Eviction takes the old end of the recency list; it must pick exactly the
+// record a scan for the smallest last_used would, whatever mix of inserts,
+// refreshes, wire touches, collects and withdrawals came before.
+TEST(ServiceDirectory, EvictionVictimMatchesTheMinLastUsedOracle) {
+  constexpr std::size_t kCap = 32;
+  ServiceDirectory dir({.max_records = kCap, .type_buckets = 4});
+  std::mt19937 rng(1405);
+  const char* types[] = {"clock", "printer", "camera", "lamp"};
+  auto url_of = [](unsigned i) {
+    return "service:x://10.0.3." + std::to_string(i) + "/svc";
+  };
+  auto type_of = [&](unsigned i) { return types[i % 4]; };
+  std::vector<unsigned> live;  // the URLs the directory must hold
+  std::vector<const ServiceDirectory::Record*> scratch;
+  std::uint64_t evictions = 0;
+
+  for (int step = 0; step < 3000; ++step) {
+    unsigned id = rng() % 96;
+    std::string url = url_of(id);
+    Bytes wire = wire_bytes("ADVERT " + url);
+    auto now = at_s(step);
+    bool known = std::find(live.begin(), live.end(), id) != live.end();
+    switch (rng() % 5) {
+      case 0:
+      case 1: {  // advertisement: insert (evicting at the cap) or refresh
+        unsigned victim = 0;
+        bool evicts = !known && live.size() == kCap;
+        if (evicts) {
+          std::uint64_t oldest = UINT64_MAX;
+          for (unsigned other : live) {
+            const auto* record = dir.find(url_of(other));
+            ASSERT_NE(record, nullptr);
+            if (record->last_used < oldest) {
+              oldest = record->last_used;
+              victim = other;
+            }
+          }
+        }
+        ASSERT_TRUE(dir.record_advertisement(
+            SdpId::kSlp, advert_stream(type_of(id), url, 100000), wire, now));
+        if (evicts) {
+          evictions += 1;
+          EXPECT_EQ(dir.find(url_of(victim)), nullptr)
+              << "step " << step << ": the min-last_used record goes";
+          std::erase(live, victim);
+        }
+        if (!known) live.push_back(id);
+        break;
+      }
+      case 2:  // the TranslationCache short-circuit re-arms through the wire
+        EXPECT_EQ(dir.touch(SdpId::kSlp, wire, now), known);
+        break;
+      case 3:  // a browse LRU-touches every fresh record of one type
+        dir.collect(type_of(id), now, scratch);
+        break;
+      default:  // a byebye tombstones the record
+        EXPECT_EQ(dir.withdraw(SdpId::kSlp, byebye_stream(url)),
+                  known ? 1u : 0u);
+        std::erase(live, id);
+        break;
+    }
+    ASSERT_EQ(dir.size(), live.size()) << "step " << step;
+    ASSERT_EQ(dir.evictions(), evictions) << "step " << step;
+  }
+  for (unsigned id : live) EXPECT_NE(dir.find(url_of(id)), nullptr);
 }
 
 TEST(ServiceDirectory, TouchReArmsTheDeadlineThroughTheWireIndex) {

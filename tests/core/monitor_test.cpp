@@ -2,6 +2,11 @@
 // forwarding, and dynamic scan reconfiguration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <random>
+
 #include "core/monitor.hpp"
 #include "core/unit.hpp"
 #include "net/host.hpp"
@@ -215,6 +220,63 @@ TEST_F(MonitorFixture, TrackedSourcesAreBoundedAgainstAddressSpoofing) {
   scheduler.run_all();
   EXPECT_LE(monitor.stats().sources_tracked, 8u);
   EXPECT_EQ(monitor.stats().seen, 50u);  // each new source starts full
+}
+
+// The same flood, seeded and interleaved with refills from tracked sources:
+// every recycled bucket must be the stalest one (smallest last refill), and
+// the tracked set must stay exactly at the cap.
+TEST_F(MonitorFixture, SpoofedFloodRecyclesTheStalestBucketAtTheCap) {
+  constexpr std::size_t kCap = 16;
+  MonitorConfig config;
+  config.rate_limit_per_sec = 1000.0;
+  config.max_tracked_sources = kCap;
+  Monitor monitor(indiss_host, nullptr, config);
+  monitor.scan_all();
+
+  std::vector<net::IpAddress> sources;
+  std::vector<std::shared_ptr<net::UdpSocket>> sockets;
+  for (int i = 0; i < 64; ++i) {
+    net::IpAddress address(10, 0, 2, static_cast<std::uint8_t>(i + 1));
+    sources.push_back(address);
+    sockets.push_back(
+        network.add_host("flood" + std::to_string(i), address).udp_socket(0));
+  }
+  std::map<std::size_t, int> last_refill;  // oracle: source -> step
+  std::mt19937 rng(424242);
+  for (int step = 0; step < 2000; ++step) {
+    std::size_t pick = rng() % sources.size();
+    if (rng() % 2 == 0 && !last_refill.empty()) {  // a tracked source again
+      auto it = last_refill.begin();
+      std::advance(it, rng() % last_refill.size());
+      pick = it->first;
+    }
+    std::optional<std::size_t> victim;
+    if (!last_refill.contains(pick) && last_refill.size() == kCap) {
+      victim = std::min_element(last_refill.begin(), last_refill.end(),
+                                [](const auto& a, const auto& b) {
+                                  return a.second < b.second;
+                                })
+                   ->first;
+      last_refill.erase(*victim);
+    }
+    last_refill[pick] = step;
+    // One datagram per millisecond: every refill lands at its own instant.
+    scheduler.run_until(scheduler.now() + sim::millis(1));
+    sockets[pick]->send_to(
+        net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort}, to_bytes("f"));
+    scheduler.run_all();
+
+    if (victim.has_value()) {
+      ASSERT_FALSE(monitor.tracks_source(sources[*victim]))
+          << "step " << step << ": the stalest bucket is the one recycled";
+    }
+    for (const auto& [source, _] : last_refill) {
+      ASSERT_TRUE(monitor.tracks_source(sources[source])) << "step " << step;
+    }
+    ASSERT_EQ(monitor.stats().sources_tracked, last_refill.size());
+  }
+  EXPECT_EQ(monitor.stats().sources_tracked, kCap);
+  EXPECT_EQ(monitor.stats().seen, 2000u);
 }
 
 TEST_F(MonitorFixture, ZeroRateConfigDisablesLimiting) {

@@ -379,6 +379,59 @@ TEST(MdnsAllocs, PostProbeAnnouncePathIsZeroAllocSteadyState) {
   EXPECT_EQ(unit.foreign_services().size(), 1u);
 }
 
+// The keyed foreign-service table at fleet size: with 16k services bridged,
+// a warm refresh of any of them finds its entry through the URL index and
+// only re-arms its deadline — no allocation however large the table grows.
+struct TestSlpUnit : SlpUnit {
+  using SlpUnit::SlpUnit;
+  using SlpUnit::on_advertisement;
+};
+
+template <typename U>
+void expect_warm_refresh_into_16k_table_is_zero_alloc(const char* what) {
+  constexpr int kServices = 16384;
+  sim::Scheduler scheduler;
+  net::Network network{scheduler, net::LinkProfile{}, 7};
+  net::Host& host = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+  U unit(host);
+  auto url_of = [](int i) {
+    return "service:clock:soap://10.1." + std::to_string(i / 256) + "." +
+           std::to_string(i % 256) + ":4005/fleet-clock";
+  };
+  for (int i = 0; i < kServices; ++i) {
+    Session session = foreign_alive_session("clock", url_of(i));
+    unit.on_advertisement(session);
+  }
+  scheduler.run_for(sim::millis(10));
+  ASSERT_EQ(unit.foreign_services().size(),
+            static_cast<std::size_t>(kServices));
+
+  // Refreshes spread over the table, each warmed once.
+  std::vector<Session> refreshes;
+  for (int i = 0; i < kServices; i += kServices / 32) {
+    refreshes.push_back(foreign_alive_session("clock", url_of(i)));
+  }
+  for (auto& session : refreshes) unit.on_advertisement(session);
+
+  std::uint64_t before = indiss::testing::g_heap_allocs;
+  for (int round = 0; round < 8; ++round) {
+    for (auto& session : refreshes) unit.on_advertisement(session);
+  }
+  EXPECT_EQ(indiss::testing::g_heap_allocs - before, 0u)
+      << "warm " << what
+      << " refresh into a 16k-entry table must not allocate";
+  EXPECT_EQ(unit.foreign_services().size(),
+            static_cast<std::size_t>(kServices));
+}
+
+TEST(SlpAllocs, WarmRefreshIntoA16kEntryTableIsZeroAlloc) {
+  expect_warm_refresh_into_16k_table_is_zero_alloc<TestSlpUnit>("SLP");
+}
+
+TEST(MdnsAllocs, WarmRefreshIntoA16kEntryTableIsZeroAlloc) {
+  expect_warm_refresh_into_16k_table_is_zero_alloc<TestMdnsUnit>("mDNS");
+}
+
 struct TestUpnpUnit : UpnpUnit {
   using UpnpUnit::UpnpUnit;
   using UpnpUnit::on_advertisement;
