@@ -499,6 +499,63 @@ void BM_ForeignAdvertScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_ForeignAdvertScaling)->Arg(1024)->Arg(16384);
 
+// BM_UpnpAdvertScaling: the same op on the UPnP unit, which impersonates
+// each of its N foreign services as a device, with TTL expiry on. As in
+// deliver_advertisement, the expiry sweep runs before every advertisement;
+// the cached earliest deadline makes it O(1) while nothing is due, so the
+// 16k case costs about what the 1k case does.
+
+struct ScalingUpnpUnit : core::UpnpUnit {
+  using core::UpnpUnit::UpnpUnit;
+  using core::UpnpUnit::on_advertisement;
+};
+
+void BM_UpnpAdvertScaling(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Scheduler scheduler;
+  net::Network network{scheduler, net::LinkProfile{}, 7};
+  net::Host& host = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+  core::UpnpUnitConfig config;
+  config.unit.expire_bridged_state = true;
+  ScalingUpnpUnit upnp(host, config);
+
+  std::vector<std::string> urls(n + 1);
+  for (std::size_t i = 0; i <= n; ++i) {
+    urls[i] = "soap://10.5." + std::to_string(i / 256) + "." +
+              std::to_string(i % 256) + ":4005/upnp-scaling-" +
+              std::to_string(n);
+  }
+  core::Session alive = scaling_session("alive");
+  core::Session byebye = scaling_session("byebye");
+  core::Event& alive_url = alive.collected[4];
+  core::Event& byebye_url = byebye.collected[4];
+  auto advertise = [&](core::Session& session, core::Event& url_event,
+                       const std::string& url) {
+    url_event.set("url", url);
+    upnp.sweep_bridged_state();
+    upnp.on_advertisement(session);
+  };
+  for (std::size_t i = 0; i < n; ++i) advertise(alive, alive_url, urls[i]);
+  scheduler.run_all();
+
+  std::size_t absent = n;
+  std::size_t ops = 0;
+  for (auto _ : state) {
+    advertise(alive, alive_url, urls[absent]);  // first sight
+    advertise(alive, alive_url, urls[(absent + n / 2) % (n + 1)]);  // refresh
+    absent = (absent + 1) % (n + 1);
+    advertise(byebye, byebye_url, urls[absent]);  // withdrawal
+    if (++ops % 256 == 0) scheduler.run_all();  // drain the byebye sends
+  }
+  scheduler.run_all();
+  if (upnp.impersonated_devices() != n) {
+    state.SkipWithError("the device set did not stay at n entries");
+  }
+  state.counters["table_size"] = benchmark::Counter(static_cast<double>(n));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_UpnpAdvertScaling)->Arg(1024)->Arg(16384);
+
 // --- Directory lookup scaling -----------------------------------------------
 //
 // BM_DirectoryLookup: collect() against an index of 10k / 100k / 1M records

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/interning.hpp"
+#include "core/units/upnp_unit.hpp"
 #include "jini/discovery.hpp"
 #include "mdns/dns.hpp"
 #include "net/address.hpp"
@@ -76,6 +78,20 @@ std::vector<Golden> ssdp_goldens() {
 
   goldens.push_back(
       {"description", to_bytes(upnp::make_clock_device().to_xml())});
+  return goldens;
+}
+
+std::vector<Golden> description_goldens() {
+  std::vector<Golden> goldens;
+  goldens.push_back({"clock", to_bytes(upnp::make_clock_device().to_xml())});
+  // The document the UPnP unit serves for a bridged foreign service.
+  core::UpnpUnit::ServedDevice device;
+  device.index = 1;
+  device.type = SymbolTable::global().intern("clock");
+  device.url =
+      SymbolTable::global().intern("service:clock:soap://10.0.0.2:4005/c");
+  goldens.push_back({"impersonated",
+                     to_bytes(core::UpnpUnit::describe(device).to_xml())});
   return goldens;
 }
 
@@ -156,6 +172,7 @@ int main(int argc, char** argv) {
   std::filesystem::path root = argc > 1 ? argv[1] : "fuzz/corpus";
   indiss::write_corpus(root, "slp", indiss::slp_goldens());
   indiss::write_corpus(root, "ssdp", indiss::ssdp_goldens());
+  indiss::write_corpus(root, "description", indiss::description_goldens());
   indiss::write_corpus(root, "jini", indiss::jini_goldens());
   indiss::write_corpus(root, "mdns", indiss::mdns_goldens());
   return 0;

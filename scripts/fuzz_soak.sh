@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Extended coverage-guided fuzz soak for the four SDP codecs — the long-form
-# companion to CI's 45 s smoke (docs/chaos.md). Each codec harness explores
+# Extended coverage-guided fuzz soak for the four SDP codecs and the UPnP
+# description XML — the long-form companion to CI's 45 s smoke
+# (docs/chaos.md). Each harness explores
 # from the checked-in seed corpus under ASan/UBSan for a configurable number
 # of minutes; any crash/OOM/timeout fails the run and leaves the offending
 # artifact behind for triage. Inputs that reached new coverage are merged
 # back into fuzz/corpus/<codec> afterwards — commit the new files so every
 # later smoke and soak starts from the deeper frontier.
 #
-#   scripts/fuzz_soak.sh                   # 10 minutes per codec, all codecs
+#   scripts/fuzz_soak.sh                   # 10 minutes per harness, all of them
 #   scripts/fuzz_soak.sh 30                # 30 minutes per codec
 #   scripts/fuzz_soak.sh 5 mdns slp        # 5 minutes, only these codecs
 #   FUZZ_BUILD_DIR=build-f scripts/fuzz_soak.sh
@@ -26,7 +27,7 @@ if [ $# -gt 0 ] && [[ "$1" =~ ^[0-9]+$ ]]; then
 fi
 CODECS=("$@")
 if [ ${#CODECS[@]} -eq 0 ]; then
-  CODECS=(slp ssdp jini mdns)
+  CODECS=(slp ssdp jini mdns description)
 fi
 for codec in "${CODECS[@]}"; do
   if [ ! -d "fuzz/corpus/${codec}" ]; then

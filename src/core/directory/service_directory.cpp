@@ -35,6 +35,27 @@ struct AdvertView {
   long ttl_seconds = 0;
 };
 
+/// Intrusive recency lists (oldest use first) over node-stable entries that
+/// carry `older`/`newer` links; records and answers each keep one.
+template <typename Node>
+void list_unlink(Node& node, Node*& oldest, Node*& newest) {
+  (node.older != nullptr ? node.older->newer : oldest) = node.newer;
+  (node.newer != nullptr ? node.newer->older : newest) = node.older;
+  node.older = nullptr;
+  node.newer = nullptr;
+}
+
+/// Moves `node` to the newest end (links it first when it is not listed).
+template <typename Node>
+void list_move_to_newest(Node& node, Node*& oldest, Node*& newest) {
+  if (newest == &node) return;
+  if (node.newer != nullptr) list_unlink(node, oldest, newest);
+  node.older = newest;
+  if (newest != nullptr) newest->newer = &node;
+  newest = &node;
+  if (oldest == nullptr) oldest = &node;
+}
+
 AdvertView scan_advert(const EventStream& stream) {
   AdvertView v;
   for (const auto& event : stream) {
@@ -258,24 +279,57 @@ void ServiceDirectory::evict_if_needed() {
 
 void ServiceDirectory::mark_used(Record& record) {
   record.last_used = ++tick_;
-  if (newest_ == &record) return;
-  if (record.newer != nullptr) unlink(record);  // listed, not the newest
-  record.older = newest_;
-  if (newest_ != nullptr) newest_->newer = &record;
-  newest_ = &record;
-  if (oldest_ == nullptr) oldest_ = &record;
+  list_move_to_newest(record, oldest_, newest_);
 }
 
 void ServiceDirectory::unlink(Record& record) {
-  (record.older != nullptr ? record.older->newer : oldest_) = record.newer;
-  (record.newer != nullptr ? record.newer->older : newest_) = record.older;
-  record.older = nullptr;
-  record.newer = nullptr;
+  list_unlink(record, oldest_, newest_);
 }
 
 // ---------------------------------------------------------------------------
 // Answer cache
 // ---------------------------------------------------------------------------
+
+ServiceDirectory::AnswerKey ServiceDirectory::answer_key(
+    SdpId sdp, std::uint64_t hash, const net::Endpoint& requester) {
+  std::uint64_t endpoint =
+      (static_cast<std::uint64_t>(requester.address.bits()) << 16) |
+      requester.port;
+  return hash ^ (endpoint * 0x9E3779B97F4A7C15ULL) ^
+         (static_cast<std::uint64_t>(sdp) << 56);
+}
+
+std::unordered_multimap<ServiceDirectory::AnswerKey,
+                        ServiceDirectory::Answer>::iterator
+ServiceDirectory::find_answer(SdpId sdp, std::uint64_t hash, BytesView wire,
+                              const net::Endpoint& requester) {
+  auto [it, end] = answers_.equal_range(answer_key(sdp, hash, requester));
+  for (; it != end; ++it) {
+    const Answer& answer = it->second;
+    if (answer.sdp == sdp && answer.hash == hash &&
+        answer.requester == requester &&
+        std::equal(answer.wire.begin(), answer.wire.end(), wire.begin(),
+                   wire.end())) {
+      return it;
+    }
+  }
+  return answers_.end();
+}
+
+void ServiceDirectory::drop_pending(const Answer& answer) {
+  auto it = pending_.find(pending_key(answer.sdp, answer.session_id));
+  if (it != pending_.end() && it->second == &answer) pending_.erase(it);
+}
+
+void ServiceDirectory::erase_oldest_answer() {
+  Answer* victim = oldest_answer_;
+  drop_pending(*victim);
+  list_unlink(*victim, oldest_answer_, newest_answer_);
+  auto [it, end] = answers_.equal_range(
+      answer_key(victim->sdp, victim->hash, victim->requester));
+  while (&it->second != victim) ++it;
+  answers_.erase(it);
+}
 
 void ServiceDirectory::open_answer(SdpId sdp, BytesView wire,
                                    const net::Endpoint& requester,
@@ -283,68 +337,45 @@ void ServiceDirectory::open_answer(SdpId sdp, BytesView wire,
                                    transport::TimePoint) {
   if (config_.max_answers == 0) return;
   std::uint64_t hash = wire_hash(wire);
-  // Reuse the slot of a stale answer for the same key, else append.
-  for (auto& answer : answers_) {
-    if (answer.sdp == sdp && answer.hash == hash &&
-        answer.requester == requester &&
-        std::equal(answer.wire.begin(), answer.wire.end(), wire.begin(),
-                   wire.end())) {
-      answer.frames.clear();
-      answer.session_id = session_id;
-      answer.epoch = answer_epoch_;
-      answer.last_used = ++tick_;
-      return;
-    }
+  auto it = find_answer(sdp, hash, wire, requester);
+  if (it != answers_.end()) {
+    // Reuse the slot of a stale answer for the same key.
+    drop_pending(it->second);
+    it->second.frames.clear();
+  } else {
+    if (answers_.size() >= config_.max_answers) erase_oldest_answer();
+    Answer answer;
+    answer.sdp = sdp;
+    answer.hash = hash;
+    answer.requester = requester;
+    answer.wire.assign(wire.begin(), wire.end());
+    it = answers_.emplace(answer_key(sdp, hash, requester), std::move(answer));
   }
-  if (answers_.size() >= config_.max_answers) {
-    auto victim = std::min_element(answers_.begin(), answers_.end(),
-                                   [](const Answer& a, const Answer& b) {
-                                     return a.last_used < b.last_used;
-                                   });
-    answers_.erase(victim);
-  }
-  Answer answer;
-  answer.sdp = sdp;
-  answer.hash = hash;
-  answer.requester = requester;
-  answer.wire.assign(wire.begin(), wire.end());
+  Answer& answer = it->second;
   answer.session_id = session_id;
   answer.epoch = answer_epoch_;
-  answer.last_used = ++tick_;
-  answers_.push_back(std::move(answer));
+  pending_[pending_key(sdp, session_id)] = &answer;
+  list_move_to_newest(answer, oldest_answer_, newest_answer_);
 }
 
 void ServiceDirectory::add_answer_frame(SdpId sdp, std::uint64_t session_id,
                                         TranslationCache::Frame frame) {
-  for (auto& answer : answers_) {
-    if (answer.sdp == sdp && answer.session_id == session_id &&
-        answer.epoch == answer_epoch_) {
-      answer.frames.push_back(std::move(frame));
-      return;
-    }
-  }
+  auto it = pending_.find(pending_key(sdp, session_id));
+  if (it == pending_.end() || it->second->epoch != answer_epoch_) return;
+  it->second->frames.push_back(std::move(frame));
 }
 
 bool ServiceDirectory::replay_answer(SdpId sdp, BytesView wire,
                                      const net::Endpoint& requester,
                                      transport::TimePoint) {
-  std::uint64_t hash = wire_hash(wire);
-  for (auto& answer : answers_) {
-    if (answer.sdp != sdp || answer.hash != hash ||
-        !(answer.requester == requester) || answer.epoch != answer_epoch_ ||
-        answer.frames.empty()) {
-      continue;
-    }
-    if (!std::equal(answer.wire.begin(), answer.wire.end(), wire.begin(),
-                    wire.end())) {
-      continue;
-    }
-    for (const auto& frame : answer.frames) frame.send();
-    answer.last_used = ++tick_;
-    answer_replays_ += 1;
-    return true;
-  }
-  return false;
+  auto it = find_answer(sdp, wire_hash(wire), wire, requester);
+  if (it == answers_.end()) return false;
+  Answer& answer = it->second;
+  if (answer.epoch != answer_epoch_ || answer.frames.empty()) return false;
+  for (const auto& frame : answer.frames) frame.send();
+  list_move_to_newest(answer, oldest_answer_, newest_answer_);
+  answer_replays_ += 1;
+  return true;
 }
 
 const ServiceDirectory::Record* ServiceDirectory::find(

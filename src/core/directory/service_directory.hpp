@@ -36,10 +36,13 @@
 //    index without a parse or an allocation.
 //
 // The answer cache (reply-side request caching) lives here too: a composed
-// directory answer is keyed by (wire hash + length, requester endpoint) and
-// replayed frame-for-frame when the identical query repeats — the
+// directory answer is keyed by (SDP, query wire bytes, requester endpoint)
+// and replayed frame-for-frame when the identical query repeats — the
 // request-side analogue of the TranslationCache's advertisement bundles.
-// Any index mutation bumps an epoch that invalidates all cached answers.
+// Answers are indexed by that key and by the session composing them, and
+// bounded like the records: the least recently opened or replayed answer
+// is evicted from the old end of its own recency list. Any index mutation
+// bumps an epoch that invalidates all cached answers.
 //
 // Like the rest of the substrate, not thread-safe: one scheduler thread.
 // In the sharded pipeline each shard owns a private directory, consistent
@@ -122,7 +125,8 @@ class ServiceDirectory {
 
   ServiceDirectory();
   explicit ServiceDirectory(Config config);
-  // The recency-list links point into records_: a copy would alias them.
+  // The recency-list links point into records_ and answers_: a copy would
+  // alias them.
   ServiceDirectory(const ServiceDirectory&) = delete;
   ServiceDirectory& operator=(const ServiceDirectory&) = delete;
 
@@ -219,8 +223,26 @@ class ServiceDirectory {
     std::vector<TranslationCache::Frame> frames;
     std::uint64_t session_id = 0;  // origin session, while frames collect
     std::uint64_t epoch = 0;
-    std::uint64_t last_used = 0;
+    /// Recency-list links (oldest use first); directory-internal.
+    Answer* older = nullptr;
+    Answer* newer = nullptr;
   };
+  /// answers_ key: SDP, wire hash and requester mixed into one integer.
+  /// Distinct queries may share one, so hits byte-verify the rest.
+  using AnswerKey = std::uint64_t;
+  [[nodiscard]] static AnswerKey answer_key(SdpId sdp, std::uint64_t hash,
+                                            const net::Endpoint& requester);
+  [[nodiscard]] static std::uint64_t pending_key(SdpId sdp,
+                                                 std::uint64_t session_id) {
+    return session_id ^ (static_cast<std::uint64_t>(sdp) << 62);
+  }
+  /// The stored answer for exactly this query, or answers_.end().
+  std::unordered_multimap<AnswerKey, Answer>::iterator find_answer(
+      SdpId sdp, std::uint64_t hash, BytesView wire,
+      const net::Endpoint& requester);
+  /// Unhooks `answer` from pending_ (if it is still its session's answer).
+  void drop_pending(const Answer& answer);
+  void erase_oldest_answer();
 
   SdpStats& sdp_stats(SdpId sdp) {
     return stats_[static_cast<std::size_t>(sdp)];
@@ -251,7 +273,12 @@ class ServiceDirectory {
   Record* newest_ = nullptr;
   std::vector<TypeBucket> buckets_;             // type -> URLs, hash-sharded
   std::unordered_map<std::uint64_t, Symbol> by_wire_;  // advert wire -> URL
-  std::vector<Answer> answers_;
+  // Node-based, like records_: the recency links and pending_ point into it.
+  std::unordered_multimap<AnswerKey, Answer> answers_;
+  Answer* oldest_answer_ = nullptr;
+  Answer* newest_answer_ = nullptr;
+  /// Each answer by the session composing it: pending_key(sdp, session_id).
+  std::unordered_map<std::uint64_t, Answer*> pending_;
   std::uint64_t generation_ = 0;
   std::uint64_t answer_epoch_ = 0;
   std::uint64_t tick_ = 0;

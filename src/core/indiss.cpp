@@ -70,6 +70,7 @@ void Indiss::attach_unit(SdpId sdp) {
 void Indiss::start() {
   if (running_) return;
   running_ = true;
+  stopped_stats_.clear();
 
   // Map order = SdpId order: slp, upnp, jini, mdns. Subscription (and so
   // bus fan-out) order follows it.
@@ -118,6 +119,7 @@ void Indiss::stop() {
     monitor_->forward_to(sdp, nullptr);
     monitor_->stop_scanning(sdp);
   }
+  for (const auto& [sdp, unit] : units_) stopped_stats_[sdp] = unit->stats();
   units_.clear();
 }
 
@@ -148,6 +150,14 @@ void Indiss::ingest(SdpId sdp, const net::Datagram& datagram) {
 Unit* Indiss::unit(SdpId sdp) {
   auto it = units_.find(sdp);
   return it == units_.end() ? nullptr : it->second.get();
+}
+
+Unit::Stats Indiss::unit_stats(SdpId sdp) const {
+  if (auto it = units_.find(sdp); it != units_.end()) {
+    return it->second->stats();
+  }
+  auto it = stopped_stats_.find(sdp);
+  return it == stopped_stats_.end() ? Unit::Stats{} : it->second;
 }
 
 void Indiss::enable_unit(SdpId sdp) {

@@ -133,6 +133,11 @@ class Indiss {
   /// the only lookup path — units are registry entries, not named members.
   [[nodiscard]] Unit* unit(SdpId sdp);
 
+  /// The counters of the unit bridging `sdp`. After stop() has torn the
+  /// units down, the counters they held at that moment (until the next
+  /// start()); zero for an SDP without a unit.
+  [[nodiscard]] Unit::Stats unit_stats(SdpId sdp) const;
+
   /// Registry lookup downcast to a concrete unit type (tests and the
   /// context manager poking SDP-specific surface). Nullptr when the SDP is
   /// disabled or U is not that unit's type.
@@ -188,6 +193,8 @@ class Indiss {
   /// SdpId-keyed unit registry; map order = SdpId order = bus subscription
   /// order (fig6-9 determinism depends on it).
   std::map<SdpId, std::unique_ptr<Unit>> units_;
+  /// Each unit's counters as stop() found them.
+  std::map<SdpId, Unit::Stats> stopped_stats_;
   bool running_ = false;
   bool active_mode_ = false;
   std::uint64_t last_sample_bytes_ = 0;

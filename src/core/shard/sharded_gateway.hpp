@@ -84,13 +84,13 @@ class ShardedGateway {
   // Per-shard counters are plain members owned by the shard's scheduler
   // thread; these accessors sum them at read time without locks. Valid from
   // the dispatching thread in the inline form; in the threaded form only
-  // once the shard threads are quiesced (docs/sharding.md).
+  // once the shard threads are quiesced (docs/sharding.md). Both forms keep
+  // them readable after stop(): the threaded form leaves its joined shards
+  // inert, the inline form stops its shards, which keep their units' final
+  // counters.
 
   [[nodiscard]] Unit::Stats unit_stats(SdpId sdp) const {
-    return merged([sdp](Indiss& shard) {
-      const Unit* unit = shard.unit(sdp);
-      return unit != nullptr ? unit->stats() : Unit::Stats{};
-    });
+    return merged([sdp](Indiss& shard) { return shard.unit_stats(sdp); });
   }
   [[nodiscard]] TranslationCache::SdpStats translation_stats(SdpId sdp) const {
     return merged([sdp](Indiss& shard) {

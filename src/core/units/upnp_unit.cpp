@@ -1,5 +1,6 @@
 #include "core/units/upnp_unit.hpp"
 
+#include <charconv>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -14,6 +15,19 @@ namespace indiss::core {
 namespace {
 
 constexpr std::string_view kBridgeServer = "INDISS-bridge/1.0 UPnP/1.0";
+constexpr std::string_view kDevicePathPrefix = "/indiss/";
+
+// An impersonated device's LOCATION path and UDN, from its index.
+std::string device_path(std::uint64_t index) {
+  std::string path(kDevicePathPrefix);
+  path += std::to_string(index);
+  path += "/description.xml";
+  return path;
+}
+
+std::string device_udn(std::uint64_t index) {
+  return "uuid:indiss-" + std::to_string(index);
+}
 
 void emit_net_events(EventSink& sink, const MessageContext& ctx) {
   Event net = sink.scratch(EventType::kNetType);
@@ -320,6 +334,12 @@ void UpnpUnit::ensure_http_server() {
   // INDISS's description server is lightweight — no CyberLink-style delay.
   http_server_ = std::make_unique<upnp::HttpServer>(
       transport(), config_.http_port, transport::Duration::zero());
+  // One route serves every impersonated device, however many come and go.
+  http_server_->route_prefix(
+      std::string(kDevicePathPrefix),
+      [this](const http::HttpMessage& request) {
+        return serve_description(request);
+      });
 }
 
 // Acting as a UPnP control point for a foreign request: multicast M-SEARCH
@@ -434,16 +454,15 @@ void UpnpUnit::compose_native_reply(Session& session) {
   }
   if (!have_url) return;  // nothing discovered: SSDP answers with silence
 
-  ServedDescription& served = serve_description(session);
+  const ServedDevice& served = serve_device(session);
 
   upnp::SearchResponse response;
   std::string st(session.var("st"));
   response.st = st.empty() || str::iequals(st, upnp::kSearchTargetAll)
-                    ? served.description.device_type
+                    ? device_type(served)
                     : st;
-  response.usn = served.usn;
-  response.location = "http://" + transport().address().to_string() + ":" +
-                      std::to_string(http_server_->port()) + served.path;
+  response.usn = usn(served);
+  response.location = location(served);
   response.server = std::string(kBridgeServer);
 
   auto addr = net::IpAddress::parse(session.var("src_addr"));
@@ -476,8 +495,7 @@ void UpnpUnit::compose_native_reply(Session& session) {
   });
 }
 
-UpnpUnit::ServedDescription& UpnpUnit::serve_description(
-    const Session& session) {
+UpnpUnit::ServedDevice& UpnpUnit::serve_device(const Session& session) {
   ensure_http_server();
 
   // View-based extraction: an alive refresh (the steady-state case) resolves
@@ -495,57 +513,103 @@ UpnpUnit::ServedDescription& UpnpUnit::serve_description(
       friendly_name = event.get("value");
     }
   }
+  transport::TimePoint deadline = bridged_state_deadline(session);
+  if (deadline < earliest_expiry_) earliest_expiry_ = deadline;
   auto& table = SymbolTable::global();
   Symbol type_sym = table.find(type_view);
   Symbol url_sym = table.find(url_view);
   if (type_sym != kNoSymbol && url_sym != kNoSymbol) {
-    auto it = served_descriptions_.find(served_key(type_sym, url_sym));
-    if (it != served_descriptions_.end()) {
+    auto it = served_.find(served_key(type_sym, url_sym));
+    if (it != served_.end()) {
       // A refresh re-arms the TTL clock, like a native device re-announcing.
-      it->second.expires_at = bridged_state_deadline(session);
+      it->second.expires_at = deadline;
       return it->second;
     }
   }
 
-  std::string type(type_view);
-  std::string url(url_view);
-  ServedDescription served;
-  std::uint64_t index = next_device_index_++;
-  served.path = "/indiss/" + std::to_string(index) + "/description.xml";
+  ServedDevice device;
+  device.index = next_device_index_++;
+  device.type = table.intern(type_view);
+  device.url = table.intern(url_view);
+  device.friendly_name = friendly_name;
+  device.expires_at = deadline;
+  std::uint64_t key = served_key(device.type, device.url);
+  served_by_index_.emplace(device.index, key);
+  return served_.emplace(key, std::move(device)).first->second;
+}
+
+std::string UpnpUnit::device_type(const ServedDevice& device) {
+  return upnp_device_from_canonical(SymbolTable::global().name(device.type));
+}
+
+std::string UpnpUnit::usn(const ServedDevice& device) {
+  std::string usn = device_udn(device.index);
+  usn += "::";
+  usn += device_type(device);
+  return usn;
+}
+
+std::string UpnpUnit::location(const ServedDevice& device) {
+  return "http://" + transport().address().to_string() + ":" +
+         std::to_string(http_server_->port()) + device_path(device.index);
+}
+
+upnp::DeviceDescription UpnpUnit::describe(const ServedDevice& device) {
+  auto& table = SymbolTable::global();
+  std::string type(table.name(device.type));
+  std::string url(table.name(device.url));
+  std::string path = device_path(device.index);
 
   upnp::DeviceDescription description;
   description.device_type = upnp_device_from_canonical(type);
-  description.friendly_name =
-      friendly_name.empty() ? "INDISS bridged " + type
-                            : std::string(friendly_name);
+  description.friendly_name = device.friendly_name.empty()
+                                  ? "INDISS bridged " + type
+                                  : device.friendly_name;
   description.manufacturer = "INDISS";
   description.model_name = type;
   description.model_description = "Foreign " + type + " service bridged by "
                                   "INDISS";
-  description.udn = "uuid:indiss-" + std::to_string(index);
+  description.udn = device_udn(device.index);
   upnp::ServiceDescription service;
   service.service_type = "urn:schemas-upnp-org:service:" + type + ":1";
   service.service_id = "urn:upnp-org:serviceId:" + type;
   service.control_url = url;  // absolute foreign endpoint, handed through
-  service.scpd_url = served.path;
+  service.scpd_url = path;
   service.event_sub_url = url;
   description.services.push_back(std::move(service));
+  return description;
+}
 
-  served.description = description;
-  served.usn = description.usn_for(description.device_type);
-  served.expires_at = bridged_state_deadline(session);
+http::HttpMessage UpnpUnit::serve_description(
+    const http::HttpMessage& request) const {
+  // "/indiss/<n>/description.xml", spelled exactly as LOCATION spells it.
+  std::string_view rest(request.target);
+  rest.remove_prefix(kDevicePathPrefix.size());
+  std::uint64_t index = 0;
+  auto [end, error] =
+      std::from_chars(rest.data(), rest.data() + rest.size(), index);
+  auto by_index = served_by_index_.find(index);
+  if (error != std::errc() || by_index == served_by_index_.end() ||
+      request.target != device_path(index)) {
+    return upnp::HttpServer::not_found();  // withdrawn, expired or never served
+  }
+  const ServedDevice& device = served_.at(by_index->second);
+  auto response = http::HttpMessage::response(200, "OK");
+  response.headers.set("CONTENT-TYPE", "text/xml");
+  response.headers.set("SERVER", std::string(kBridgeServer));
+  response.body = describe(device).to_xml();
+  return response;
+}
 
-  http_server_->route(served.path, [description](const http::HttpMessage&) {
-    auto response = http::HttpMessage::response(200, "OK");
-    response.headers.set("CONTENT-TYPE", "text/xml");
-    response.headers.set("SERVER", std::string(kBridgeServer));
-    response.body = description.to_xml();
-    return response;
-  });
-
-  auto [inserted, ok] = served_descriptions_.emplace(
-      served_key(table.intern(type), table.intern(url)), std::move(served));
-  return inserted->second;
+void UpnpUnit::compose_alive(const ServedDevice& device) {
+  upnp::Notify notify;
+  notify.kind = upnp::Notify::Kind::kAlive;
+  notify.nt = device_type(device);
+  notify.usn = usn(device);
+  notify.location = location(device);
+  notify.server = std::string(kBridgeServer);
+  notify.max_age_seconds = config_.notify_max_age;
+  notify.serialize_into(ssdp_scratch_);
 }
 
 // A peer advertised a foreign service: impersonate it so native UPnP control
@@ -562,17 +626,9 @@ void UpnpUnit::on_advertisement(Session& session) {
   }
   if (!have_url) return;
   if (!meaningful_advert_type(session.var("service_type"))) return;
-  ServedDescription& served = serve_description(session);
+  const ServedDevice& served = serve_device(session);
   if (config_.active_advertising) {
-    upnp::Notify notify;
-    notify.kind = upnp::Notify::Kind::kAlive;
-    notify.nt = served.description.device_type;
-    notify.usn = served.usn;
-    notify.location = "http://" + transport().address().to_string() + ":" +
-                      std::to_string(http_server_->port()) + served.path;
-    notify.server = std::string(kBridgeServer);
-    notify.max_age_seconds = config_.notify_max_age;
-    notify.serialize_into(ssdp_scratch_);
+    compose_alive(served);
     net::Endpoint to{upnp::kSsdpMulticastGroup, config_.ssdp_port};
     reply_socket_->send_to(to, to_bytes(ssdp_scratch_));
     cache_outbound_frame(
@@ -583,8 +639,8 @@ void UpnpUnit::on_advertisement(Session& session) {
 }
 
 // A peer withdrew a service this unit impersonates: multicast the
-// ssdp:byebye for the served device and stop serving it. (The HTTP route
-// stays registered — harmless, nothing advertises its LOCATION any more.)
+// ssdp:byebye for the served device and stop serving it; its LOCATION
+// answers 404 from now on.
 void UpnpUnit::withdraw_foreign_service(Session& session) {
   std::string_view url;
   for (const auto& event : session.collected) {
@@ -599,47 +655,51 @@ void UpnpUnit::withdraw_foreign_service(Session& session) {
   Symbol type_sym = table.find(session.var("service_type", "service"));
   Symbol url_sym = table.find(url);
   if (type_sym == kNoSymbol || url_sym == kNoSymbol) return;
-  auto it = served_descriptions_.find(served_key(type_sym, url_sym));
-  if (it == served_descriptions_.end()) return;
+  auto it = served_.find(served_key(type_sym, url_sym));
+  if (it == served_.end()) return;
 
   upnp::Notify notify;
   notify.kind = upnp::Notify::Kind::kByeBye;
-  notify.nt = it->second.description.device_type;
-  notify.usn = it->second.usn;
+  notify.nt = device_type(it->second);
+  notify.usn = usn(it->second);
   notify.serialize_into(ssdp_scratch_);
   net::Endpoint to{upnp::kSsdpMulticastGroup, config_.ssdp_port};
   reply_socket_->send_to(to, to_bytes(ssdp_scratch_));
-  served_descriptions_.erase(it);
+  served_by_index_.erase(it->second.index);
+  served_.erase(it);
 }
 
 void UpnpUnit::announce_foreign_services() {
   ensure_http_server();
-  for (const auto& [key, served] : served_descriptions_) {
-    upnp::Notify notify;
-    notify.kind = upnp::Notify::Kind::kAlive;
-    notify.nt = served.description.device_type;
-    notify.usn = served.usn;
-    notify.location = "http://" + transport().address().to_string() + ":" +
-                      std::to_string(http_server_->port()) + served.path;
-    notify.server = std::string(kBridgeServer);
-    notify.max_age_seconds = config_.notify_max_age;
-    notify.serialize_into(ssdp_scratch_);
+  for (const auto& [key, served] : served_) {
+    compose_alive(served);
     reply_socket_->send_to(
         net::Endpoint{upnp::kSsdpMulticastGroup, config_.ssdp_port},
         to_bytes(ssdp_scratch_));
   }
 }
 
-// TTL expiry of impersonated devices (crash without byebye): drop the served
-// description so M-SEARCHes stop advertising a dead endpoint. As in
-// withdraw_foreign_service, the HTTP route stays registered — nothing
-// advertises its LOCATION any more. No byebye NOTIFY is multicast: native
-// control points age the device out by its own CACHE-CONTROL max-age.
+// TTL expiry of impersonated devices (crash without byebye): stop serving
+// the device, so M-SEARCHes stop advertising a dead endpoint and its
+// LOCATION answers 404. No byebye NOTIFY is multicast: native control points
+// age the device out by its own CACHE-CONTROL max-age. O(1) while the
+// earliest deadline is still ahead.
 std::size_t UpnpUnit::expire_bridged_state(transport::TimePoint now) {
-  return std::erase_if(served_descriptions_, [now](const auto& entry) {
-    const ServedDescription& served = entry.second;
-    return served.expires_at.count() != 0 && served.expires_at <= now;
+  if (now < earliest_expiry_) return 0;
+  transport::TimePoint earliest = transport::TimePoint::max();
+  std::size_t removed = std::erase_if(served_, [&](const auto& entry) {
+    const ServedDevice& served = entry.second;
+    if (served.expires_at.count() == 0 || served.expires_at > now) {
+      if (served.expires_at.count() != 0 && served.expires_at < earliest) {
+        earliest = served.expires_at;
+      }
+      return false;
+    }
+    served_by_index_.erase(served.index);
+    return true;
   });
+  earliest_expiry_ = earliest;
+  return removed;
 }
 
 void UpnpUnit::on_session_complete(Session& session) {

@@ -97,13 +97,38 @@ class UpnpUnit : public Unit {
   UpnpUnit(transport::Transport& transport, Config config = {});
   ~UpnpUnit() override;
 
+  /// One impersonated device. Its path (/indiss/<n>/description.xml),
+  /// UDN (uuid:indiss-<n>), device type, USN and description document are
+  /// all derived from these fields when a frame or a GET needs them, so
+  /// nothing else is kept per device.
+  struct ServedDevice {
+    std::uint64_t index = 0;  // <n>
+    Symbol type = kNoSymbol;  // canonical service type
+    Symbol url = kNoSymbol;   // foreign endpoint, handed through as-is
+    /// As advertised; empty when the document says "INDISS bridged <type>".
+    std::string friendly_name;
+    /// TTL-derived expiry instant (zero = never; enforced only with
+    /// expire_bridged_state — docs/chaos.md).
+    transport::TimePoint expires_at{0};
+  };
+
+  /// The description document `device` serves (also the fuzz corpus's
+  /// impersonation seed).
+  [[nodiscard]] static upnp::DeviceDescription describe(
+      const ServedDevice& device);
+
   /// Foreign services currently impersonated as UPnP devices.
   [[nodiscard]] std::size_t impersonated_devices() const {
-    return served_descriptions_.size();
+    return served_.size();
   }
   /// Multicasts NOTIFY alive for every impersonated foreign service (used by
   /// the context manager in active mode).
   void announce_foreign_services();
+  /// The server behind every impersonated device's LOCATION (null until the
+  /// first device is served).
+  [[nodiscard]] const upnp::HttpServer* description_server() const {
+    return http_server_.get();
+  }
 
   void set_active_advertising(bool on) { config_.active_advertising = on; }
   [[nodiscard]] const Config& config() const { return config_; }
@@ -117,18 +142,18 @@ class UpnpUnit : public Unit {
   std::size_t expire_bridged_state(transport::TimePoint now) override;
 
  private:
-  struct ServedDescription {
-    std::string path;  // "/indiss/<n>/description.xml"
-    upnp::DeviceDescription description;
-    std::string usn;
-    /// TTL-derived expiry instant (zero = never; enforced only with
-    /// expire_bridged_state — docs/chaos.md).
-    transport::TimePoint expires_at{0};
-  };
-
-  /// Builds (or reuses) a served description for a translated reply stream /
-  /// advertisement and returns its LOCATION URL + USN.
-  ServedDescription& serve_description(const Session& session);
+  /// Finds (refreshing its deadline) or creates the device impersonating
+  /// the foreign service of a translated reply stream / advertisement.
+  ServedDevice& serve_device(const Session& session);
+  [[nodiscard]] static std::string device_type(const ServedDevice& device);
+  [[nodiscard]] static std::string usn(const ServedDevice& device);
+  [[nodiscard]] std::string location(const ServedDevice& device);
+  /// Serializes NOTIFY ssdp:alive for `device` into ssdp_scratch_.
+  void compose_alive(const ServedDevice& device);
+  /// The description server's handler for every /indiss/ path: the
+  /// document of a served device, 404 for any other.
+  [[nodiscard]] http::HttpMessage serve_description(
+      const http::HttpMessage& request) const;
   /// Peer byebye: multicast ssdp:byebye for the served device and drop it.
   void withdraw_foreign_service(Session& session);
   void ensure_http_server();
@@ -137,8 +162,8 @@ class UpnpUnit : public Unit {
   static Action finalize_reply();
   void do_finalize_reply(Session& session);
 
-  /// Identity of a served description: interned (type, url) symbols packed
-  /// into one integer key — the refresh lookup for an alive burst touches no
+  /// Identity of a served device: interned (type, url) symbols packed into
+  /// one integer key — the refresh lookup for an alive burst touches no
   /// string construction at all.
   [[nodiscard]] static std::uint64_t served_key(Symbol type, Symbol url) {
     return (static_cast<std::uint64_t>(type) << 32) | url;
@@ -149,8 +174,13 @@ class UpnpUnit : public Unit {
   std::map<std::uint64_t, std::shared_ptr<transport::UdpSocket>>
       client_sockets_;
   std::unique_ptr<upnp::HttpServer> http_server_;
-  std::unordered_map<std::uint64_t, ServedDescription> served_descriptions_;
+  /// Served devices by served_key(), and the key of each device index.
+  std::unordered_map<std::uint64_t, ServedDevice> served_;
+  std::unordered_map<std::uint64_t, std::uint64_t> served_by_index_;
   std::uint64_t next_device_index_ = 1;
+  /// No served deadline is earlier than this. Withdrawals and re-arms to a
+  /// later instant leave it early; the sweep then walks once and recomputes.
+  transport::TimePoint earliest_expiry_ = transport::TimePoint::max();
   // Compose-side scratch: SSDP messages serialize into this reused buffer
   // (docs/events.md scratch recipe) before the one unavoidable payload copy.
   std::string ssdp_scratch_;

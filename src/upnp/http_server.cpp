@@ -33,6 +33,27 @@ void HttpServer::route(const std::string& path, RouteHandler handler) {
   routes_[path] = std::move(handler);
 }
 
+void HttpServer::route_prefix(const std::string& prefix,
+                              RouteHandler handler) {
+  prefix_routes_[prefix] = std::move(handler);
+}
+
+http::HttpMessage HttpServer::not_found() {
+  auto response = http::HttpMessage::response(404, "Not Found");
+  response.headers.set("Content-Length", "0");
+  return response;
+}
+
+const HttpServer::RouteHandler* HttpServer::find_route(
+    const std::string& path) const {
+  if (auto it = routes_.find(path); it != routes_.end()) return &it->second;
+  // The longest prefix sorts last among the prefixes of `path`.
+  for (auto it = prefix_routes_.rbegin(); it != prefix_routes_.rend(); ++it) {
+    if (path.starts_with(it->first)) return &it->second;
+  }
+  return nullptr;
+}
+
 void HttpServer::on_accept(std::shared_ptr<transport::TcpSocket> socket) {
   auto connection = std::make_shared<Connection>(std::move(socket));
   connection->socket->set_data_handler([this, connection](BytesView data) {
@@ -53,14 +74,9 @@ void HttpServer::on_accept(std::shared_ptr<transport::TcpSocket> socket) {
 void HttpServer::respond(const std::shared_ptr<Connection>& connection,
                          const http::HttpMessage& request) {
   requests_served_ += 1;
-  http::HttpMessage response;
-  auto it = routes_.find(request.target);
-  if (it == routes_.end()) {
-    response = http::HttpMessage::response(404, "Not Found");
-    response.headers.set("Content-Length", "0");
-  } else {
-    response = it->second(request);
-  }
+  const RouteHandler* handler = find_route(request.target);
+  http::HttpMessage response =
+      handler != nullptr ? (*handler)(request) : not_found();
   // Device-stack processing cost before the response hits the wire.
   host_.schedule(
       handling_delay_, [connection, response = std::move(response)]() {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -391,6 +392,122 @@ TEST_F(AnswerCacheFixture, AnyIndexMutationInvalidatesCachedAnswers) {
   ASSERT_EQ(dir.withdraw(SdpId::kMdns, byebye_stream("service:clock://new")),
             1u);
   EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(6)));
+}
+
+// The answer cache is indexed by query key and by composing session, and
+// evicts from the old end of a recency list. Against a model that keeps the
+// answers in one vector, scans it for every operation and evicts the
+// smallest last-use stamp, every operation must agree: which query
+// replays, which frames it sends, and how many answers are held.
+TEST_F(AnswerCacheFixture, AnswerCacheMatchesTheLinearScanOracle) {
+  constexpr std::size_t kCap = 8;
+  ServiceDirectory dir({.type_buckets = 4, .max_answers = kCap});
+
+  struct ModelAnswer {
+    SdpId sdp;
+    std::string query;
+    net::Endpoint requester;
+    std::vector<std::string> frames;
+    std::uint64_t session_id;
+    std::uint64_t epoch;
+    std::uint64_t last_used;
+  };
+  std::vector<ModelAnswer> model;
+  std::uint64_t model_epoch = 0;
+  std::uint64_t tick = 0;
+  auto model_find = [&](SdpId sdp, const std::string& query,
+                        const net::Endpoint& from) {
+    return std::find_if(model.begin(), model.end(), [&](const auto& a) {
+      return a.sdp == sdp && a.query == query && a.requester == from;
+    });
+  };
+
+  std::mt19937 rng(2024);
+  const SdpId sdps[] = {SdpId::kSlp, SdpId::kUpnp};
+  const net::Endpoint requesters[] = {
+      requester, {net::IpAddress(10, 0, 0, 9), 7701}};
+  // Every (SDP, session id) that opened an answer so far.
+  std::vector<std::pair<SdpId, std::uint64_t>> sessions;
+  std::uint64_t replays = 0;
+  std::uint64_t evictions = 0;
+
+  for (int step = 0; step < 4000; ++step) {
+    SdpId sdp = sdps[rng() % 2];
+    const net::Endpoint& from = requesters[rng() % 2];
+    std::string query = "QUERY " + std::to_string(rng() % 4);
+    switch (rng() % 6) {
+      case 0:
+      case 1: {  // a query the cache could not replay opens an answer
+        std::uint64_t session = 100 + static_cast<std::uint64_t>(step);
+        sessions.emplace_back(sdp, session);
+        dir.open_answer(sdp, wire_bytes(query), from, session, at_s(step));
+        auto it = model_find(sdp, query, from);
+        if (it == model.end()) {
+          if (model.size() >= kCap) {
+            evictions += 1;
+            model.erase(std::min_element(
+                model.begin(), model.end(), [](const auto& a, const auto& b) {
+                  return a.last_used < b.last_used;
+                }));
+          }
+          model.push_back({sdp, query, from, {}, 0, 0, 0});
+          it = model.end() - 1;
+        }
+        it->frames.clear();
+        it->session_id = session;
+        it->epoch = model_epoch;
+        it->last_used = ++tick;
+        break;
+      }
+      case 2:
+      case 3: {  // a composed reply frame for a recent (or unknown) session
+        std::uint64_t session = 1;  // sometimes one that opened nothing
+        if (!sessions.empty() && rng() % 8 != 0) {
+          std::tie(sdp, session) =
+              sessions[sessions.size() - 1 -
+                       rng() % std::min<std::size_t>(sessions.size(), 3)];
+        }
+        std::string payload = "FRAME " + std::to_string(step);
+        dir.add_answer_frame(sdp, session, reply_frame(payload));
+        for (auto& a : model) {
+          if (a.sdp == sdp && a.session_id == session &&
+              a.epoch == model_epoch) {
+            a.frames.push_back(payload);
+            break;
+          }
+        }
+        break;
+      }
+      case 4: {  // a repeated query: replay or miss
+        received.clear();
+        bool hit = dir.replay_answer(sdp, wire_bytes(query), from, at_s(step));
+        scheduler.run_for(sim::millis(10));
+        auto it = model_find(sdp, query, from);
+        bool model_hit = it != model.end() && it->epoch == model_epoch &&
+                         !it->frames.empty();
+        ASSERT_EQ(hit, model_hit) << "step " << step;
+        if (model_hit) {
+          it->last_used = ++tick;
+          replays += 1;
+          std::vector<std::string> sent;  // every frame goes to `requester`
+          for (const auto& bytes : received) sent.push_back(to_string(bytes));
+          EXPECT_EQ(sent, it->frames) << "step " << step;
+        }
+        break;
+      }
+      default:  // an index mutation invalidates every cached answer
+        if (rng() % 4 == 0) {
+          dir.bump_generation();
+          model_epoch += 1;
+        }
+        break;
+    }
+    ASSERT_EQ(dir.answer_cache_size(), model.size()) << "step " << step;
+    ASSERT_EQ(dir.answer_replays(), replays) << "step " << step;
+  }
+  // The run exercised both the hit path and the eviction path.
+  EXPECT_GT(replays, 40u);
+  EXPECT_GT(evictions, 100u);
 }
 
 // --- End-to-end --------------------------------------------------------------

@@ -5,6 +5,8 @@
 // has reached its high-water capacity.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/directory/service_directory.hpp"
 #include "core/units/jini_unit.hpp"
 #include "core/units/mdns_unit.hpp"
@@ -382,10 +384,27 @@ TEST(MdnsAllocs, PostProbeAnnouncePathIsZeroAllocSteadyState) {
 // The keyed foreign-service table at fleet size: with 16k services bridged,
 // a warm refresh of any of them finds its entry through the URL index and
 // only re-arms its deadline — no allocation however large the table grows.
+// TTL expiry is on, and the sweep runs before every advertisement as
+// deliver_advertisement runs it: with the earliest deadline cached, it
+// returns at once while nothing is due.
 struct TestSlpUnit : SlpUnit {
   using SlpUnit::SlpUnit;
   using SlpUnit::on_advertisement;
 };
+
+struct TestUpnpUnit : UpnpUnit {
+  using UpnpUnit::UpnpUnit;
+  using UpnpUnit::on_advertisement;
+};
+
+template <typename U>
+std::size_t bridged_entries(const U& unit) {
+  if constexpr (std::is_base_of_v<UpnpUnit, U>) {
+    return unit.impersonated_devices();
+  } else {
+    return unit.foreign_services().size();
+  }
+}
 
 template <typename U>
 void expect_warm_refresh_into_16k_table_is_zero_alloc(const char* what) {
@@ -393,35 +412,40 @@ void expect_warm_refresh_into_16k_table_is_zero_alloc(const char* what) {
   sim::Scheduler scheduler;
   net::Network network{scheduler, net::LinkProfile{}, 7};
   net::Host& host = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
-  U unit(host);
+  typename U::Config config;
+  config.unit.expire_bridged_state = true;
+  U unit(host, config);
+  auto advertise = [&unit](Session& session) {
+    unit.sweep_bridged_state();
+    unit.on_advertisement(session);
+  };
   auto url_of = [](int i) {
     return "service:clock:soap://10.1." + std::to_string(i / 256) + "." +
            std::to_string(i % 256) + ":4005/fleet-clock";
   };
   for (int i = 0; i < kServices; ++i) {
     Session session = foreign_alive_session("clock", url_of(i));
-    unit.on_advertisement(session);
+    advertise(session);
   }
   scheduler.run_for(sim::millis(10));
-  ASSERT_EQ(unit.foreign_services().size(),
-            static_cast<std::size_t>(kServices));
+  ASSERT_EQ(bridged_entries(unit), static_cast<std::size_t>(kServices));
 
   // Refreshes spread over the table, each warmed once.
   std::vector<Session> refreshes;
   for (int i = 0; i < kServices; i += kServices / 32) {
     refreshes.push_back(foreign_alive_session("clock", url_of(i)));
   }
-  for (auto& session : refreshes) unit.on_advertisement(session);
+  for (auto& session : refreshes) advertise(session);
 
   std::uint64_t before = indiss::testing::g_heap_allocs;
   for (int round = 0; round < 8; ++round) {
-    for (auto& session : refreshes) unit.on_advertisement(session);
+    for (auto& session : refreshes) advertise(session);
   }
   EXPECT_EQ(indiss::testing::g_heap_allocs - before, 0u)
       << "warm " << what
       << " refresh into a 16k-entry table must not allocate";
-  EXPECT_EQ(unit.foreign_services().size(),
-            static_cast<std::size_t>(kServices));
+  EXPECT_EQ(bridged_entries(unit), static_cast<std::size_t>(kServices));
+  EXPECT_EQ(unit.stats().bridged_state_expired, 0u);
 }
 
 TEST(SlpAllocs, WarmRefreshIntoA16kEntryTableIsZeroAlloc) {
@@ -432,10 +456,9 @@ TEST(MdnsAllocs, WarmRefreshIntoA16kEntryTableIsZeroAlloc) {
   expect_warm_refresh_into_16k_table_is_zero_alloc<TestMdnsUnit>("mDNS");
 }
 
-struct TestUpnpUnit : UpnpUnit {
-  using UpnpUnit::UpnpUnit;
-  using UpnpUnit::on_advertisement;
-};
+TEST(UpnpAllocs, WarmRefreshIntoA16kEntryTableIsZeroAlloc) {
+  expect_warm_refresh_into_16k_table_is_zero_alloc<TestUpnpUnit>("UPnP");
+}
 
 TEST(UpnpAllocs, ForeignAliveRefreshIsZeroAllocSteadyState) {
   sim::Scheduler scheduler;
@@ -453,6 +476,40 @@ TEST(UpnpAllocs, ForeignAliveRefreshIsZeroAllocSteadyState) {
   for (int i = 0; i < 256; ++i) unit.on_advertisement(session);
   EXPECT_EQ(indiss::testing::g_heap_allocs - before, 0u)
       << "warm UPnP alive refresh must not allocate";
+}
+
+// What one impersonated device costs: a compact record (index, type and URL
+// symbols, friendly name, deadline) plus its two index-map nodes. Its path,
+// USN and description document are rendered on demand, so learning a device
+// must request at most 256 heap bytes, hash-table growth included. Every
+// byte requested is counted, freed or not, so this bounds what is retained.
+// URLs are interned up front: the process-wide SymbolTable holds them for
+// every unit and the directory, not for this one.
+TEST(UpnpAllocs, ImpersonatedDeviceCostsAtMost256HeapBytes) {
+  constexpr int kDevices = 8192;
+  sim::Scheduler scheduler;
+  net::Network network{scheduler, net::LinkProfile{}, 7};
+  net::Host& host = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+  TestUpnpUnit unit(host);
+  std::vector<Session> sessions;
+  sessions.reserve(kDevices + 1);
+  for (int i = 0; i <= kDevices; ++i) {
+    std::string url = "service:clock:soap://10.4." + std::to_string(i / 256) +
+                      "." + std::to_string(i % 256) + ":4005/fleet-clock";
+    SymbolTable::global().intern(url);
+    sessions.push_back(foreign_alive_session("clock", url));
+  }
+  unit.on_advertisement(sessions[0]);  // starts the description server
+
+  std::uint64_t before = indiss::testing::g_heap_bytes;
+  for (int i = 1; i <= kDevices; ++i) unit.on_advertisement(sessions[i]);
+  std::uint64_t per_device =
+      (indiss::testing::g_heap_bytes - before) / kDevices;
+  EXPECT_LE(per_device, 256u) << "heap bytes per impersonated device";
+  EXPECT_EQ(unit.impersonated_devices(),
+            static_cast<std::size_t>(kDevices) + 1);
+  ASSERT_NE(unit.description_server(), nullptr);
+  EXPECT_EQ(unit.description_server()->route_count(), 1u);
 }
 
 struct TestJiniUnit : JiniUnit {

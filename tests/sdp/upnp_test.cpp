@@ -10,6 +10,7 @@
 #include "upnp/description.hpp"
 #include "upnp/device.hpp"
 #include "upnp/http_client.hpp"
+#include "upnp/http_server.hpp"
 #include "upnp/ssdp.hpp"
 
 namespace indiss::upnp {
@@ -233,6 +234,40 @@ TEST_F(UpnpFixture, HttpGet404ForUnknownPath) {
   scheduler.run_for(sim::seconds(1));
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 404);
+}
+
+// An exact route wins over a prefix route, the longest matching prefix
+// wins among prefixes, and a path nothing matches answers 404.
+TEST_F(UpnpFixture, HttpServerRoutesExactPathsThenLongestPrefix) {
+  HttpServer server(device_host, 4010);
+  auto body = [](std::string text) {
+    return [text](const http::HttpMessage&) {
+      auto response = http::HttpMessage::response(200, "OK");
+      response.body = text;
+      return response;
+    };
+  };
+  server.route("/a/exact", body("exact"));
+  server.route_prefix("/a/", body("a"));
+  server.route_prefix("/a/b/", body("ab"));
+  EXPECT_EQ(server.route_count(), 3u);
+
+  auto get = [&](const std::string& path) {
+    std::optional<http::HttpMessage> response;
+    http_get(client_host, *Uri::parse("http://10.0.0.2:4010" + path),
+             [&](std::optional<http::HttpMessage> r) {
+               response = std::move(r);
+             });
+    scheduler.run_for(sim::seconds(1));
+    if (!response.has_value()) return std::string("<no response>");
+    return response->status == 200 ? response->body
+                                   : std::to_string(response->status);
+  };
+  EXPECT_EQ(get("/a/exact"), "exact");
+  EXPECT_EQ(get("/a/exactly"), "a");
+  EXPECT_EQ(get("/a/b/c"), "ab");
+  EXPECT_EQ(get("/a"), "404");
+  EXPECT_EQ(get("/z"), "404");
 }
 
 TEST_F(UpnpFixture, HttpGetConnectionRefusedReportsFailure) {

@@ -1,8 +1,8 @@
 // Shard routing and inline shard-set tests (docs/sharding.md): byte-identical
 // wires always map to the same shard, the classifier sends advertisements to
 // one shard and control traffic to all, the ShardedGateway's merged
-// statistics equal the per-shard sums, and rate limiting happens once, at
-// the front monitor.
+// statistics equal the per-shard sums and stay readable after stop() in
+// both forms, and rate limiting happens once, at the front monitor.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -19,6 +19,11 @@
 #include "slp/agents.hpp"
 #include "slp/wire.hpp"
 #include "upnp/ssdp.hpp"
+
+#if defined(__linux__)
+#include "live/event_loop.hpp"
+#include "live/sharded.hpp"
+#endif
 
 namespace indiss::core::shard {
 namespace {
@@ -282,6 +287,58 @@ TEST_F(VirtualShardFixture, MergedStatsEqualPerShardSums) {
   EXPECT_EQ(directory.records_stored, 6u);
   EXPECT_EQ(directory.answered, 2u);
   EXPECT_EQ(directory.withdrawals, 1u);
+}
+
+// stop() must not take the statistics with it in either form. The threaded
+// form joins its shard threads and leaves their gateways inert; the inline
+// form stops its shards, which tears their units down, and each shard keeps
+// the counters its units held at that moment.
+TEST_F(VirtualShardFixture, MergedStatsStayReadableAfterStopInBothForms) {
+  constexpr int kDevices = 6;
+  ShardedGateway gateway(gateway_host, make_config(2));
+  gateway.start();
+  scheduler.run_for(sim::millis(10));
+  for (int device = 0; device < kDevices; ++device) {
+    send_slp(slp_registration(device));
+  }
+  Unit::Stats running = gateway.unit_stats(SdpId::kSlp);
+  ASSERT_EQ(running.messages_parsed, static_cast<std::uint64_t>(kDevices));
+  gateway.stop();
+  EXPECT_EQ(gateway.shard(0).unit(SdpId::kSlp), nullptr) << "units torn down";
+  Unit::Stats stopped = gateway.unit_stats(SdpId::kSlp);
+  EXPECT_EQ(stopped.messages_parsed, running.messages_parsed);
+  EXPECT_EQ(stopped.sessions_opened, running.sessions_opened);
+  EXPECT_EQ(stopped.streams_dispatched, running.streams_dispatched);
+  EXPECT_EQ(gateway.unit_stats(SdpId::kUpnp).messages_parsed, 0u);
+  // A restart begins a fresh count.
+  gateway.start();
+  EXPECT_EQ(gateway.unit_stats(SdpId::kSlp).messages_parsed, 0u);
+  gateway.stop();
+
+#if defined(__linux__)
+  // The threaded form, fed the same registrations from loopback.
+  live::EventLoop loop;
+  live::LiveShardConfig config;
+  config.shards = 2;
+  config.scan_ports = false;  // traffic enters through dispatch() only
+  config.live.name = "stopstats";
+  config.indiss.enabled_sdps = {SdpId::kSlp, SdpId::kUpnp};
+  live::LiveShardPool pool(loop, config);
+  pool.start();
+  for (int device = 0; device < kDevices; ++device) {
+    net::Datagram datagram = make_datagram(slp_registration(device), 40001);
+    datagram.source.address = net::IpAddress(127, 0, 0, 1);
+    pool.dispatch(SdpId::kSlp, datagram);
+  }
+  for (int i = 0;
+       i < 1000 && pool.ingress_consumed() != pool.ingress_accepted(); ++i) {
+    loop.run_for(transport::millis(5));
+  }
+  loop.run_for(transport::millis(100));  // the units' translate_delay
+  pool.stop();
+  EXPECT_EQ(pool.unit_stats(SdpId::kSlp).messages_parsed,
+            static_cast<std::uint64_t>(kDevices));
+#endif
 }
 
 // Rate limiting is the front monitor's job in every form: a sharded gateway
